@@ -26,7 +26,7 @@ def main():
     ]:
         count = sl.count_spanning_trees(g)
         dprod = sl.degree_product(g)
-        ok = sl.kostochka_upper_bound_holds(g)
+        ok = sl.kostochka_upper_bound_holds(g, count)
         print(f"  {label}: {count} * {g.n - 1} = {count * (g.n - 1)} <= {dprod}  [{ok}]")
 
     print()

@@ -36,16 +36,13 @@ from .exact import (
 from .sampling import (
     AttemptsExhaustedError,
     LeafStatsReport,
-    OneOutDigraph,
     leaf_stats,
     one_out_census,
     one_out_leaf_probability,
     neighbour_degree_sum,
     sample_aldous_broder,
-    sample_one_out,
     sample_rejection_one_out,
     sample_wilson,
-    support,
 )
 from .reconfig import (
     HIGH_BRANCH,
@@ -55,8 +52,6 @@ from .reconfig import (
     StrategyOutcome,
     VertexSubset,
     audit_reversibility,
-    parents_high_degree,
-    parents_low_degree,
     reconfigure,
     sample_vertex_subset,
     select_leaves,
@@ -66,7 +61,6 @@ from .canonical import (
     CanonicalTreeCode,
     canonical_code,
     count_non_isomorphic,
-    degree_histogram,
     histogram_key,
     tree_code,
 )

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import CapExceededError, count_spanning_trees, enumerate_spanning_trees
-from .graphs import Graph
+from .graphs import Graph, connected
 from .sampling import sample_wilson
 from .trees import NotATreeError, SpanningTree
 from . import rng as rnglib
@@ -31,7 +31,7 @@ def canonical_code(edges, n: int) -> CanonicalTreeCode:
             raise NotATreeError(f"bad tree edge ({u},{v})")
         nbrs[u].append(v)
         nbrs[v].append(u)
-    if len(edges) != n - 1 or not _connected(nbrs):
+    if len(edges) != n - 1 or not connected(nbrs):
         raise NotATreeError(f"{len(edges)} edges on {n} vertices do not form a tree")
     return CanonicalTreeCode(code_from_neighbors(nbrs), n)
 
@@ -50,24 +50,6 @@ def code_from_neighbors(nbrs) -> bytes:
         if best is None or code < best:
             best = code
     return best
-
-
-def _connected(nbrs) -> bool:
-    n = len(nbrs)
-    if n == 0:
-        return False
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in nbrs[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                stack.append(v)
-    return count == n
 
 
 def _centers(nbrs) -> list[int]:
@@ -117,14 +99,6 @@ def _rooted_code(nbrs, root: int) -> bytes:
         if p >= 0:
             children[p].append(codes[u])
     return codes[root]
-
-
-def degree_histogram(tree: SpanningTree) -> dict[int, int]:
-    """Exact map from degree value to vertex count."""
-    hist: dict[int, int] = {}
-    for d in tree.degrees:
-        hist[d] = hist.get(d, 0) + 1
-    return dict(sorted(hist.items()))
 
 
 def histogram_key(degrees) -> tuple[tuple[int, int], ...]:

@@ -35,16 +35,31 @@ from .experiments import (
     uniformity_experiment,
 )
 from .graphs import GraphError, GraphSpec, generate, read_graph_file
-from .reconfig import sample_vertex_subset, select_leaves, audit_reversibility
+from .reconfig import audit_reversibility, sample_vertex_subset, select_leaves
 from .sampling import (
     SAMPLERS,
     AttemptsExhaustedError,
     leaf_stats,
     sample_rejection_one_out,
+    sample_wilson,
 )
 from .trees import NotATreeError
 
 DOMAIN_ERRORS = (GraphError, CapExceededError, AttemptsExhaustedError, NotATreeError, ValueError)
+
+
+# Argument types: argparse turns their ValueError into a usage error (exit 2).
+
+
+def u64(text: str) -> int:
+    return rnglib.resolve_seed(int(text))
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is not positive")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="SPEC",
                 help="generated family: complete:n | bipartite:a,b | regular:d,n | gnp:n,p,d",
             )
-        p.add_argument("--seed", type=int, default=None, help="64-bit master seed")
-        p.add_argument("--trials", type=int, default=1000)
+        p.add_argument("--seed", type=u64, default=None, help="64-bit master seed")
+        p.add_argument("--trials", type=positive_int, default=1000)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
         p.add_argument("--jobs", type=int, default=1, help="worker processes for trial loops")
@@ -143,7 +158,7 @@ def _run_count_exact(args, parser, seed):
         "m": g.m,
         "spanningTrees": str(count),
         "degreeProduct": str(degree_product(g)),
-        "kostochkaUpperBoundHolds": bool(g.n >= 2 and g.is_connected() and kostochka_upper_bound_holds(g)),
+        "kostochkaUpperBoundHolds": bool(g.n >= 2 and g.is_connected() and kostochka_upper_bound_holds(g, count)),
     }
     rows = [("spanningTrees", payload["spanningTrees"]),
             ("degreeProduct", payload["degreeProduct"]),
@@ -167,8 +182,6 @@ def _run_enumerate(args, parser, seed):
 
 def _run_sample(args, parser, seed):
     g, desc = _load_graph(args, parser)
-    if args.trials < 1:
-        parser.error("--trials must be at least 1")
     leaf_counts = []
     attempts = []
     for t in range(args.trials):
@@ -204,14 +217,12 @@ def _run_reconfigure(args, parser, seed):
     trial_rows = []
     violations_total = 0
     for t in range(args.trials):
-        from .sampling import sample_wilson
-
         tree = sample_wilson(g, rnglib.stream(seed, rnglib.TREE, t))
         subset = sample_vertex_subset(g.n, rnglib.stream(seed, rnglib.SUBSET, t))
         audit = audit_reversibility(
             g, tree, subset, trials=1, rng=rnglib.stream(seed, rnglib.RECONF, t)
         )
-        outcome = select_leaves(g, tree, subset)
+        outcome = audit.outcome
         sizes = sorted(len(p) for p in outcome.selection.parents.values())
         row = {
             "trial": t,
@@ -343,8 +354,6 @@ def _run_experiment(args, parser, seed):
         rows.append(("code", report.codes.collision, report.codes.max_mass_bound))
         return payload, rows
     if kind == "lemma35":
-        from .sampling import sample_wilson
-
         base_tree = sample_wilson(g, rnglib.stream(seed, rnglib.TREE, 0))
         subset = sample_vertex_subset(g.n, rnglib.stream(seed, rnglib.SUBSET, 0))
         outcome = select_leaves(g, base_tree, subset)

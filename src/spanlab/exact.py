@@ -7,7 +7,7 @@ Enumeration is recursive contraction/deletion with a cap guard.
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, find
 from .trees import SpanningTree
 
 
@@ -73,15 +73,17 @@ def degree_product(g: Graph) -> int:
     return out
 
 
-def kostochka_upper_bound_holds(g: Graph) -> bool:
-    """Exact integer check that tree-count * (n-1) <= degree product.
+def kostochka_upper_bound_holds(g: Graph, count: int) -> bool:
+    """Exact integer check that count * (n-1) <= degree product.
 
-    A ``False`` on any connected graph signals an implementation bug, not
-    a property of the graph.
+    ``count`` is the spanning-tree count of ``g`` (``count_spanning_trees``),
+    passed in so callers that report it do not compute it twice.  A
+    ``False`` on any connected graph signals an implementation bug, not a
+    property of the graph.
     """
     if g.n < 2 or not g.is_connected():
         raise ValueError("bound check requires a connected graph on >= 2 vertices")
-    return count_spanning_trees(g) * (g.n - 1) <= degree_product(g)
+    return count * (g.n - 1) <= degree_product(g)
 
 
 def enumerate_spanning_trees(g: Graph, cap: int) -> list[SpanningTree]:
@@ -98,12 +100,6 @@ def enumerate_spanning_trees(g: Graph, cap: int) -> list[SpanningTree]:
     edges = g.edges()
     out: list[tuple[tuple[int, int], ...]] = []
     parent = list(range(n))
-
-    def find(parents, x):
-        while parents[x] != x:
-            parents[x] = parents[parents[x]]
-            x = parents[x]
-        return x
 
     def can_span(parents, idx, components):
         # Can the remaining edges still merge everything into one component?

@@ -26,7 +26,7 @@ from .canonical import code_from_neighbors, histogram_key
 from .exact import CapExceededError, enumerate_spanning_trees
 from .graphs import Graph, complete_bipartite
 from .reconfig import sample_vertex_subset, select_leaves, reconfigure, LeafSelection
-from .sampling import SAMPLERS, leaf_stats, sample_wilson
+from .sampling import SAMPLERS, sample_wilson
 from .stats import (
     bootstrap_collisions,
     chi_square_uniform,
@@ -128,18 +128,14 @@ def sample_degree_vector(inst: BipartiteOneOutInstance, rng) -> tuple:
 
 
 def _vector_from_picks(inst: BipartiteOneOutInstance, picks) -> tuple:
-    hist: dict[int, int] = {}
     offs = inst.offsets
-    for v in inst.a_vertices:
-        k = 1 + offs[v]
-        hist[k] = hist.get(k, 0) + 1
     indeg: dict[int, int] = {}
     for u in picks:
         indeg[u] = indeg.get(u, 0) + 1
-    for u in inst.b_vertices:
-        k = indeg.get(u, 0) + offs[u]
-        hist[k] = hist.get(k, 0) + 1
-    return tuple(sorted(hist.items()))
+    return histogram_key(
+        [1 + offs[v] for v in inst.a_vertices]
+        + [indeg.get(u, 0) + offs[u] for u in inst.b_vertices]
+    )
 
 
 def exact_vector_distribution(
@@ -548,9 +544,3 @@ def uniformity_experiment(
         rows.append(UniformityRow("pipeline", trials, support, stat, pvalue))
     return UniformityReport(seed=master, support=support, rows=rows)
 
-
-def leaf_experiment(g: Graph, trials: int, sampler: str, seed: int | None = None):
-    """Leaf statistics under a recorded master seed."""
-    master = rnglib.resolve_seed(seed)
-    report = leaf_stats(g, trials, sampler, rnglib.stream(master, rnglib.TREE))
-    return report, master

@@ -73,27 +73,38 @@ class Graph:
     def is_connected(self) -> bool:
         # Immutable graph: compute once, reuse (samplers check this per call).
         if self._connected is None:
-            self._connected = self._compute_connected()
+            self._connected = connected(self.neighbors)
         return self._connected
-
-    def _compute_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        seen = bytearray(self.n)
-        seen[0] = 1
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in self.neighbors[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    stack.append(v)
-        return count == self.n
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def connected(neighbors) -> bool:
+    """True iff adjacency lists over ``0..n-1`` form a connected graph, n >= 1."""
+    n = len(neighbors)
+    if n == 0:
+        return False
+    seen = bytearray(n)
+    seen[0] = 1
+    stack = [0]
+    count = 1
+    while stack:
+        u = stack.pop()
+        for v in neighbors[u]:
+            if not seen[v]:
+                seen[v] = 1
+                count += 1
+                stack.append(v)
+    return count == n
+
+
+def find(parent: list[int], x: int) -> int:
+    """Union-find root of ``x``, halving the path in ``parent`` on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def build_graph(edges, n: int) -> Graph:

@@ -30,11 +30,9 @@ SELECTION_DENOMINATOR = 256
 
 @dataclass(frozen=True)
 class VertexSubset:
-    """A subset of vertex ids plus how it was generated."""
+    """A subset of vertex ids."""
 
     vertices: frozenset[int]
-    probability: float = 0.5
-    seed: int | None = None
 
     def __contains__(self, v: int) -> bool:
         return v in self.vertices
@@ -43,11 +41,10 @@ class VertexSubset:
         return len(self.vertices)
 
 
-def sample_vertex_subset(n: int, rng, seed: int | None = None) -> VertexSubset:
+def sample_vertex_subset(n: int, rng) -> VertexSubset:
     """Include each vertex independently with one fair bit."""
     mask = rng.random(n) < 0.5
-    members = frozenset(int(v) for v in mask.nonzero()[0])
-    return VertexSubset(members, probability=0.5, seed=seed)
+    return VertexSubset(frozenset(int(v) for v in mask.nonzero()[0]))
 
 
 @dataclass(frozen=True)
@@ -74,110 +71,78 @@ class StrategyOutcome:
     high_count: int | None  # None when the low branch was taken
 
 
-def parents_low_degree(g: Graph, subset: VertexSubset, v: int) -> tuple[int, ...]:
-    """Candidate parents for a low-degree leaf: outside the subset, or of
-    degree above the cube root of n (those are never selected as leaves)."""
-    n = g.n
-    degs = g.degrees
-    members = subset.vertices
-    return tuple(
-        u for u in g.neighbors[v] if u not in members or degs[u] ** 3 > n
-    )
+def may_parent(
+    g: Graph, tree: SpanningTree, subset: VertexSubset, branch: str
+) -> list[bool]:
+    """Per vertex, whether it may be a parent of a leaf selected on ``branch``.
 
-
-def parents_high_degree(
-    g: Graph, tree: SpanningTree, subset: VertexSubset, v: int
-) -> tuple[int, ...]:
-    """Candidate parents for a high-degree leaf: outside the subset, or
-    keeping at least two tree neighbours outside it."""
+    ``u`` may be a parent iff it lies outside the subset or is safe for
+    the branch.  Low-degree branch: safe means deg(u)^3 > n (such vertices
+    are never selected there).  High-degree branch: safe means ``u`` keeps
+    at least two tree neighbours outside the subset, so it stays an inner
+    vertex whatever the selected leaves do.
+    """
     members = subset.vertices
-    tn = tree.neighbors
-    out = []
-    for u in g.neighbors[v]:
-        if u not in members:
-            out.append(u)
-        else:
+    ok = [True] * g.n
+    if branch == LOW_BRANCH:
+        n = g.n
+        degs = g.degrees
+        for u in members:
+            ok[u] = degs[u] ** 3 > n
+    else:
+        tree_nbrs = tree.neighbors
+        for u in members:
             outside = 0
-            for w in tn[u]:
+            for w in tree_nbrs[u]:
                 if w not in members:
                     outside += 1
-                    if outside == 2:
-                        out.append(u)
-                        break
-    return tuple(out)
+            ok[u] = outside >= 2
+    return ok
 
 
 def select_leaves(g: Graph, tree: SpanningTree, subset: VertexSubset) -> StrategyOutcome:
     """Pick the reconfigurable leaves of ``tree`` for the given subset.
 
-    First pass collects low-degree leaves in the subset whose parent stays
-    a candidate and that keep at least half their neighbourhood as
-    candidates.  If that captures at least n/256 leaves it wins; otherwise
-    the high-degree pass (quarter-neighbourhood threshold) is used.
+    A leaf in the subset is selected when its current parent may stay a
+    parent and at least a share of its neighbourhood may be a parent (see
+    ``may_parent``).  The low-degree pass (leaves with deg^3 <= n, half
+    the neighbourhood) wins when it captures at least n/256 leaves;
+    otherwise the high-degree pass (quarter-neighbourhood threshold) is
+    used.
     """
     n = g.n
     degs = g.degrees
     members = subset.vertices
-    tree_nbrs = tree.neighbors
-    leaf_list = tree.leaves()
+    low_leaves: list[int] = []
+    high_leaves: list[int] = []
+    for v in tree.leaves():
+        if v in members:
+            (high_leaves if degs[v] ** 3 > n else low_leaves).append(v)
 
-    low: list[int] = []
-    low_parents: dict[int, tuple[int, ...]] = {}
-    for v in leaf_list:
-        if v not in members or degs[v] ** 3 > n:
-            continue
-        parent = tree_nbrs[v][0]
-        if parent in members and degs[parent] ** 3 <= n:
-            continue  # parent not a candidate
-        cands = parents_low_degree(g, subset, v)
-        if 2 * len(cands) >= degs[v]:
-            low.append(v)
-            low_parents[v] = cands
-
+    low = _select(g, tree, low_leaves, may_parent(g, tree, subset, LOW_BRANCH), 2)
     if SELECTION_DENOMINATOR * len(low) >= n:
-        selection = LeafSelection(tuple(low), low_parents)
-        _assert_selection(g, tree, selection)
-        return StrategyOutcome(LOW_BRANCH, selection, len(low), None)
+        return StrategyOutcome(LOW_BRANCH, low, len(low), None)
+    # The outside counts behind the high rule are only paid for here.
+    high = _select(g, tree, high_leaves, may_parent(g, tree, subset, HIGH_BRANCH), 4)
+    return StrategyOutcome(HIGH_BRANCH, high, len(low), len(high))
 
-    # Candidate test for the high branch needs, per vertex, how many tree
-    # neighbours lie outside the subset.
-    outside_count = [0] * n
-    for u in range(n):
-        cnt = 0
-        for w in tree_nbrs[u]:
-            if w not in members:
-                cnt += 1
-        outside_count[u] = cnt
 
-    high: list[int] = []
-    high_parents: dict[int, tuple[int, ...]] = {}
+def _select(g: Graph, tree: SpanningTree, leaves, ok, share: int) -> LeafSelection:
+    """The leaves whose parent is ``ok`` and that keep at least 1/share of
+    their neighbours ``ok``, with those neighbours as candidates."""
     gn = g.neighbors
-    for v in leaf_list:
-        if v not in members or degs[v] ** 3 <= n:
+    degs = g.degrees
+    tree_nbrs = tree.neighbors
+    chosen: list[int] = []
+    parents: dict[int, tuple[int, ...]] = {}
+    for v in leaves:
+        if not ok[tree_nbrs[v][0]]:
             continue
-        parent = tree_nbrs[v][0]
-        if parent in members and outside_count[parent] < 2:
-            continue
-        cands = tuple(
-            u for u in gn[v] if u not in members or outside_count[u] >= 2
-        )
-        if 4 * len(cands) >= degs[v]:
-            high.append(v)
-            high_parents[v] = cands
-
-    selection = LeafSelection(tuple(high), high_parents)
-    _assert_selection(g, tree, selection)
-    return StrategyOutcome(HIGH_BRANCH, selection, len(low), len(high))
-
-
-def _assert_selection(g: Graph, tree: SpanningTree, selection: LeafSelection):
-    if __debug__:
-        chosen = set(selection.leaves)
-        for v in selection.leaves:
-            cands = selection.parents[v]
-            assert tree.degrees[v] == 1
-            assert tree.neighbors[v][0] in cands
-            assert not chosen.intersection(cands)
+        cands = tuple(u for u in gn[v] if ok[u])
+        if share * len(cands) >= degs[v]:
+            chosen.append(v)
+            parents[v] = cands
+    return LeafSelection(tuple(chosen), parents)
 
 
 def validate_selection(g: Graph, tree: SpanningTree, selection: LeafSelection) -> None:
@@ -246,6 +211,7 @@ def reconfigure(
 class AuditReport:
     trials: int
     violations: list[dict]
+    outcome: StrategyOutcome  # the audited selection on the original tree
 
     @property
     def ok(self) -> bool:
@@ -275,7 +241,7 @@ def audit_reversibility(
         diff = _outcome_diff(base, again)
         if diff:
             violations.append({"trial": t, **diff})
-    return AuditReport(trials=trials, violations=violations)
+    return AuditReport(trials=trials, violations=violations, outcome=base)
 
 
 def _outcome_diff(a: StrategyOutcome, b: StrategyOutcome) -> dict | None:

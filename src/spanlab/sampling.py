@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .exact import CapExceededError
-from .graphs import Graph
+from .exact import CapExceededError, degree_product
+from .graphs import Graph, find
 from .trees import SpanningTree
 
 _CHUNK = 65536
@@ -23,31 +24,38 @@ class AttemptsExhaustedError(RuntimeError):
     code = "AttemptsExhausted"
 
 
+def _draws(rng, n: int):
+    """Endless iterator of uniform floats from ``rng``, drawn in batches.
+
+    The first batch is near a sampler's typical draw count (2n + 8) and
+    later ones grow fourfold up to ``_CHUNK``, so tiny graphs are not
+    charged for a huge batch each sample.
+    """
+    return chain.from_iterable(_batches(rng, 2 * n + 8))
+
+
+def _batches(rng, chunk: int):
+    while True:
+        yield rng.random(chunk).tolist()
+        chunk = min(4 * chunk, _CHUNK)
+
+
 def sample_wilson(g: Graph, rng) -> SpanningTree:
     """Uniform spanning tree via loop-erased random walks to a growing tree."""
     if not g.is_connected():
         raise ValueError("sampler requires a connected graph")
     n = g.n
     adj = g.neighbors
+    draw = _draws(rng, n).__next__
     nxt = [0] * n
     in_tree = bytearray(n)
     in_tree[0] = 1
-    # Buffers start near the typical draw count and grow on refill, so
-    # tiny graphs are not charged for a huge batch each sample.
-    chunk = 2 * n + 8
-    buf = rng.random(chunk).tolist()
-    pos = 0
     for i in range(n):
         u = i
         while not in_tree[u]:
             nbrs = adj[u]
-            if pos == len(buf):
-                chunk = min(4 * chunk, _CHUNK)
-                buf = rng.random(chunk).tolist()
-                pos = 0
             # Overwriting nxt[u] on revisit erases loops in place.
-            v = nbrs[int(buf[pos] * len(nbrs))]
-            pos += 1
+            v = nbrs[int(draw() * len(nbrs))]
             nxt[u] = v
             u = v
         u = i
@@ -63,22 +71,15 @@ def sample_aldous_broder(g: Graph, rng) -> SpanningTree:
         raise ValueError("sampler requires a connected graph")
     n = g.n
     adj = g.neighbors
+    draw = _draws(rng, n).__next__
     parent = [0] * n
     visited = bytearray(n)
     visited[0] = 1
     remaining = n - 1
     u = 0
-    chunk = 2 * n + 8
-    buf = rng.random(chunk).tolist()
-    pos = 0
     while remaining:
         nbrs = adj[u]
-        if pos == len(buf):
-            chunk = min(4 * chunk, _CHUNK)
-            buf = rng.random(chunk).tolist()
-            pos = 0
-        v = nbrs[int(buf[pos] * len(nbrs))]
-        pos += 1
+        v = nbrs[int(draw() * len(nbrs))]
         if not visited[v]:
             visited[v] = 1
             parent[v] = u
@@ -87,63 +88,23 @@ def sample_aldous_broder(g: Graph, rng) -> SpanningTree:
     return SpanningTree.from_parents(g, parent, root=0)
 
 
-@dataclass(frozen=True)
-class OneOutDigraph:
-    """One chosen out-neighbour per vertex of the host graph."""
-
-    graph: Graph
-    out: tuple[int, ...]
-
-    def __post_init__(self):
-        g = self.graph
-        if len(self.out) != g.n:
-            raise ValueError("out-map must cover every vertex")
-        for v, u in enumerate(self.out):
-            if not g.has_edge(v, u):
-                raise ValueError(f"out({v})={u} is not a graph neighbour")
-
-
-def sample_one_out(g: Graph, rng) -> OneOutDigraph:
-    """Each vertex independently picks a uniform neighbour as its out-arc."""
-    adj = g.neighbors
-    buf = rng.random(max(g.n, 1)).tolist()
-    out = tuple(adj[v][int(buf[v] * len(adj[v]))] for v in range(g.n))
-    return OneOutDigraph(g, out)
-
-
-def support(dg: OneOutDigraph) -> tuple[list[tuple[int, int]], bool]:
-    """Undirected support of the arcs, plus whether it is a spanning tree."""
-    edges = _support_edges(dg.graph.n, dg.out)
-    return edges, _edges_are_tree(dg.graph.n, edges)
-
-
-def _support_edges(n: int, out) -> list[tuple[int, int]]:
+def tree_support(out) -> list[tuple[int, int]] | None:
+    """Sorted undirected support of a one-out map (vertex v has the arc
+    v -> out[v]), or None unless that support is a spanning tree."""
+    n = len(out)
     seen = set()
     for v in range(n):
         u = out[v]
         seen.add((v, u) if v < u else (u, v))
-    return sorted(seen)
-
-
-def _edges_are_tree(n: int, edges) -> bool:
-    if len(edges) != n - 1:
-        return False
+    if len(seen) != n - 1:
+        return None
     parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    merged = 0
-    for u, v in edges:
-        ru, rv = find(u), find(v)
+    for u, v in seen:
+        ru, rv = find(parent, u), find(parent, v)
         if ru == rv:
-            return False
+            return None
         parent[ru] = rv
-        merged += 1
-    return merged == n - 1
+    return sorted(seen)
 
 
 def sample_rejection_one_out(
@@ -158,21 +119,14 @@ def sample_rejection_one_out(
         raise ValueError("sampler requires a connected graph")
     n = g.n
     adj = g.neighbors
-    chunk = 2 * n + 8
-    buf = rng.random(chunk).tolist()
-    pos = 0
+    draw = _draws(rng, n).__next__
     for attempt in range(1, max_attempts + 1):
         out = [0] * n
         for v in range(n):
             nbrs = adj[v]
-            if pos == len(buf):
-                chunk = min(4 * chunk, _CHUNK)
-                buf = rng.random(chunk).tolist()
-                pos = 0
-            out[v] = nbrs[int(buf[pos] * len(nbrs))]
-            pos += 1
-        edges = _support_edges(n, out)
-        if _edges_are_tree(n, edges):
+            out[v] = nbrs[int(draw() * len(nbrs))]
+        edges = tree_support(out)
+        if edges is not None:
             return SpanningTree.from_edges(g, edges, validate=False), attempt
     raise AttemptsExhaustedError(
         f"no tree support in {max_attempts} one-out samples; "
@@ -187,20 +141,17 @@ def one_out_census(g: Graph, cap: int = 10**6) -> dict[tuple, int]:
     tree}.  The number of digraphs is the degree product; a cap guards
     against accidental exponential sweeps.
     """
-    n = g.n
-    total = 1
-    for d in g.degrees:
-        total *= d
+    total = degree_product(g)
     if total > cap:
         raise CapExceededError(f"{total} one-out digraphs exceed the cap of {cap}")
+    n = g.n
     adj = g.neighbors
     degs = g.degrees
     counts: dict[tuple, int] = {}
     idx = [0] * n
     while True:
-        out = [adj[v][idx[v]] for v in range(n)]
-        edges = _support_edges(n, out)
-        if _edges_are_tree(n, edges):
+        edges = tree_support([adj[v][idx[v]] for v in range(n)])
+        if edges is not None:
             key = tuple(edges)
             counts[key] = counts.get(key, 0) + 1
         # Odometer increment over the product of neighbour choices.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, connected
 
 
 class NotATreeError(ValueError):
@@ -69,20 +69,7 @@ class SpanningTree:
             for v in self.neighbors[u]:
                 if u < v and not g.has_edge(u, v):
                     return False
-        if n == 0:
-            return False
-        seen = bytearray(n)
-        seen[0] = 1
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in self.neighbors[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    stack.append(v)
-        return count == n
+        return connected(self.neighbors)
 
     def edges(self) -> list[tuple[int, int]]:
         return [

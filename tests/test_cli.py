@@ -212,6 +212,12 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count-exact", "--gen", "complete:4", "--graph", "x.txt"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--gen", "complete:5", "--seed", "-1"])  # not a u64
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["reconfigure", "--gen", "complete:5", "--trials", "-3"])
+    assert exc.value.code == 2
 
 
 def test_missing_file_is_domain_error(capsys):

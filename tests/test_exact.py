@@ -93,11 +93,13 @@ def test_degree_product_examples():
 
 def test_kostochka_bound_examples():
     assert sl.count_spanning_trees(sl.cycle_graph(5)) == 5
-    assert sl.kostochka_upper_bound_holds(sl.complete_graph(4))  # 48 <= 81
-    assert sl.kostochka_upper_bound_holds(sl.cycle_graph(5))  # 20 <= 32
-    assert sl.kostochka_upper_bound_holds(sl.complete_graph(2))  # 1 <= 1
+    assert sl.kostochka_upper_bound_holds(sl.complete_graph(4), 16)  # 48 <= 81
+    assert sl.kostochka_upper_bound_holds(sl.cycle_graph(5), 5)  # 20 <= 32
+    assert sl.kostochka_upper_bound_holds(sl.complete_graph(2), 1)  # 1 <= 1
+    # A count above the degree product over n-1 fails the bound.
+    assert not sl.kostochka_upper_bound_holds(sl.complete_graph(4), 28)  # 84 > 81
     with pytest.raises(ValueError):
-        sl.kostochka_upper_bound_holds(sl.build_graph([(0, 1), (2, 3)], 4))
+        sl.kostochka_upper_bound_holds(sl.build_graph([(0, 1), (2, 3)], 4), 0)
 
 
 def test_edge_deletion_never_increases_count():

@@ -13,7 +13,7 @@ from spanlab import (
     StrategyOutcome,
     VertexSubset,
 )
-from spanlab.reconfig import parents_high_degree, parents_low_degree
+from spanlab.reconfig import may_parent
 
 from helpers import random_connected_graph
 
@@ -27,26 +27,37 @@ def subset(*vertices) -> VertexSubset:
 # ---------------------------------------------------------------------------
 
 
+def candidates(g, tree, r, branch, v) -> tuple[int, ...]:
+    """The neighbours of v that the branch's rule lets be its parent."""
+    ok = may_parent(g, tree, r, branch)
+    return tuple(u for u in g.neighbors[v] if ok[u])
+
+
+def low_candidates(g, r, v) -> tuple[int, ...]:
+    # The low-degree rule reads degrees only, so any spanning tree will do.
+    return candidates(g, sl.sample_wilson(g, sl.stream(0)), r, LOW_BRANCH, v)
+
+
 def test_parents_low_degree_empty_subset_keeps_everything():
     g = sl.complete_graph(5)
-    assert parents_low_degree(g, subset(), 0) == tuple(g.neighbors[0])
+    assert low_candidates(g, subset(), 0) == tuple(g.neighbors[0])
 
 
 def test_parents_low_degree_full_subset_small_degrees():
     g = sl.cycle_graph(8)  # degrees 2, 2^3 = 8 <= 8, so nobody survives
-    assert parents_low_degree(g, subset(*range(8)), 0) == ()
+    assert low_candidates(g, subset(*range(8)), 0) == ()
 
 
 def test_parents_low_degree_high_degree_vertices_survive():
     g = sl.complete_bipartite(3, 60)  # n = 63; small side has degree 60
     everyone = subset(*range(63))
-    assert parents_low_degree(g, everyone, 5) == (0, 1, 2)  # 60^3 > 63
+    assert low_candidates(g, everyone, 5) == (0, 1, 2)  # 60^3 > 63
 
 
 def test_parents_high_degree_empty_subset_keeps_everything():
     g = sl.complete_graph(5)
     t = SpanningTree.from_edges(g, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert parents_high_degree(g, t, subset(), 0) == tuple(g.neighbors[0])
+    assert candidates(g, t, subset(), HIGH_BRANCH, 0) == tuple(g.neighbors[0])
 
 
 def test_parents_high_degree_leaf_in_subset_excluded():
@@ -54,7 +65,7 @@ def test_parents_high_degree_leaf_in_subset_excluded():
     t = SpanningTree.from_edges(g, [(0, 1), (1, 2), (2, 3)])
     # Vertex 3 is a tree leaf inside the subset: one tree neighbour, so it
     # can never keep two outside the subset.
-    cands = parents_high_degree(g, t, subset(3), 0)
+    cands = candidates(g, t, subset(3), HIGH_BRANCH, 0)
     assert 3 not in cands
     assert set(cands) == {1, 2}
 
@@ -63,7 +74,7 @@ def test_parents_high_degree_star_center_included():
     g = sl.complete_graph(5)
     star = SpanningTree.from_edges(g, [(0, 1), (0, 2), (0, 3), (0, 4)])
     # Center 0 sits in the subset but keeps leaves 2,3,4 outside it.
-    cands = parents_high_degree(g, star, subset(0, 1), 1)
+    cands = candidates(g, star, subset(0, 1), HIGH_BRANCH, 1)
     assert 0 in cands
 
 
@@ -114,21 +125,40 @@ def test_low_branch_hand_execution_on_k3_100():
     assert all(outcome.selection.parents[v] == (0, 1, 2) for v in (5, 6, 7))
 
 
+def _checked_selection(g, t, r):
+    outcome = sl.select_leaves(g, t, r)
+    sl.validate_selection(g, t, outcome.selection)
+    chosen = set(outcome.selection.leaves)
+    assert chosen <= set(t.leaves()) and chosen <= r.vertices
+    for v in outcome.selection.leaves:
+        cands = set(outcome.selection.parents[v])
+        assert t.parent_of(v) in cands
+        assert cands <= set(g.neighbors[v])
+        assert not cands & chosen
+    return outcome
+
+
 def test_selection_invariants_on_random_instances():
     rng = np.random.default_rng(31)
     for trial in range(25):
         g = random_connected_graph(int(rng.integers(4, 10)), rng)
         t = sl.sample_wilson(g, sl.stream(400 + trial))
         r = sl.sample_vertex_subset(g.n, sl.stream(500 + trial))
-        outcome = sl.select_leaves(g, t, r)
-        sl.validate_selection(g, t, outcome.selection)
-        chosen = set(outcome.selection.leaves)
-        assert chosen <= set(t.leaves()) and chosen <= r.vertices
-        for v in outcome.selection.leaves:
-            cands = set(outcome.selection.parents[v])
-            assert t.parent_of(v) in cands
-            assert cands <= set(g.neighbors[v])
-            assert not cands & chosen
+        _checked_selection(g, t, r)
+    # Larger graphs where each branch selects many leaves: 16^3 > 300
+    # sends regular(16, 300) to the high-degree branch, while the degree-3
+    # side of K_{3,40} (3^3 <= 43) feeds the low-degree branch.
+    larger = [
+        (sl.random_regular(16, 300, sl.stream(32)), HIGH_BRANCH),
+        (sl.complete_bipartite(3, 40), LOW_BRANCH),
+    ]
+    for i, (g, branch) in enumerate(larger):
+        for trial in range(5):
+            t = sl.sample_wilson(g, sl.stream(600, i, trial))
+            r = sl.sample_vertex_subset(g.n, sl.stream(700, i, trial))
+            outcome = _checked_selection(g, t, r)
+            assert outcome.branch == branch
+            assert len(outcome.selection) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +271,12 @@ def _corrupted_select(g, tree, sub):
             continue
         parent = tree.neighbors[v][0]
         if degs[v] ** 3 <= n:
-            cands = parents_low_degree(g, sub, v)
+            cands = candidates(g, tree, sub, LOW_BRANCH, v)
             if 2 * len(cands) >= degs[v]:
                 low.append(v)
                 low_parents[v] = cands if parent in cands else cands + (parent,)
         else:
-            cands = parents_high_degree(g, tree, sub, v)
+            cands = candidates(g, tree, sub, HIGH_BRANCH, v)
             if 4 * len(cands) >= degs[v]:
                 high.append(v)
                 high_parents[v] = cands if parent in cands else cands + (parent,)

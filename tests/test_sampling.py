@@ -1,12 +1,11 @@
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import spanlab as sl
-from spanlab import AttemptsExhaustedError, CapExceededError, OneOutDigraph
-from spanlab.sampling import SAMPLERS
+from spanlab import AttemptsExhaustedError, CapExceededError
+from spanlab.sampling import SAMPLERS, tree_support
 
 from helpers import random_connected_graph
 
@@ -37,38 +36,14 @@ def test_triangle_support():
     assert keys == expected
 
 
-def test_one_out_forced_cases():
-    k2 = sl.complete_graph(2)
-    dg = sl.sample_one_out(k2, sl.stream(1))
-    assert dg.out == (1, 0)
-    star = sl.build_graph([(0, 1), (0, 2), (0, 3)], 4)  # center 0
-    dg = sl.sample_one_out(star, sl.stream(2))
-    assert dg.out[1] == 0 and dg.out[2] == 0 and dg.out[3] == 0
-    assert dg.out[0] in (1, 2, 3)
-
-
-def test_one_out_uniform_over_all_digraphs():
-    g = sl.cycle_graph(3)  # 2^3 = 8 equally likely digraphs
-    rng = sl.stream(77)
-    counts = Counter(sl.sample_one_out(g, rng).out for _ in range(40000))
-    assert len(counts) == 8
-    from spanlab.stats import chi_square_uniform
-
-    _, p = chi_square_uniform(counts, 8)
-    assert p > 1e-3
-
-
 def test_support_examples():
-    g = sl.cycle_graph(3)
-    edges, is_tree = sl.support(OneOutDigraph(g, (1, 0, 0)))
-    assert edges == [(0, 1), (0, 2)] and is_tree
-    edges, is_tree = sl.support(OneOutDigraph(g, (1, 2, 0)))
-    assert edges == [(0, 1), (0, 2), (1, 2)] and not is_tree
+    # One-out maps on the triangle: v points at out[v].
+    assert tree_support((1, 0, 0)) == [(0, 1), (0, 2)]
+    assert tree_support((1, 2, 0)) is None  # support is the whole cycle
 
 
 def test_digraph_oriented_toward_doubled_edge_is_tree():
     # Direct one tree edge both ways and every other edge toward it.
-    g = sl.complete_graph(5)
     tree_edges = [(0, 1), (1, 2), (2, 3), (2, 4)]
     for u, v in tree_edges:
         nbrs = {w: [] for w in range(5)}
@@ -86,8 +61,7 @@ def test_digraph_oriented_toward_doubled_edge_is_tree():
                     out[x] = w
                     seen.add(x)
                     order.append(x)
-        edges, is_tree = sl.support(OneOutDigraph(g, tuple(out)))
-        assert is_tree and edges == sorted(tree_edges)
+        assert tree_support(out) == sorted(tree_edges)
 
 
 def test_one_out_census_small_graphs():
