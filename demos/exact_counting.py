@@ -1,8 +1,9 @@
 """Exact spanning-tree arithmetic, end to end.
 
-Counts spanning trees through fraction-free determinants, lists them by
-contraction/deletion, and sweeps every one-out digraph of a small graph
-to show that each spanning tree is the support of exactly n-1 of them.
+Counts spanning trees through determinants by multi-modular elimination
++ CRT, Hadamard-bounded, lists them by contraction/deletion, and sweeps
+every one-out digraph of a small graph to show that each spanning tree
+is the support of exactly n-1 of them.
 
 Run: python demos/exact_counting.py
 """

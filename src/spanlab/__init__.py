@@ -27,11 +27,13 @@ from .graphs import (
 from .trees import NotATreeError, SpanningTree
 from .exact import (
     CapExceededError,
+    MatrixTooLargeError,
     bareiss_determinant,
     count_spanning_trees,
     degree_product,
     enumerate_spanning_trees,
     kostochka_upper_bound_holds,
+    modular_determinant,
 )
 from .sampling import (
     AttemptsExhaustedError,

@@ -21,6 +21,7 @@ from . import __version__
 from . import rng as rnglib
 from .canonical import CapExceededError, count_non_isomorphic
 from .exact import (
+    MatrixTooLargeError,
     count_spanning_trees,
     degree_product,
     enumerate_spanning_trees,
@@ -45,7 +46,14 @@ from .sampling import (
 )
 from .trees import NotATreeError
 
-DOMAIN_ERRORS = (GraphError, CapExceededError, AttemptsExhaustedError, NotATreeError, ValueError)
+DOMAIN_ERRORS = (
+    GraphError,
+    CapExceededError,
+    AttemptsExhaustedError,
+    NotATreeError,
+    MatrixTooLargeError,
+    ValueError,
+)
 
 
 # Argument types: argparse turns their ValueError into a usage error (exit 2).
@@ -62,6 +70,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def at_least_two(text: str) -> int:
+    """Trial count of a collision estimate, which needs a pair of samples."""
+    value = int(text)
+    if value < 2:
+        raise ValueError(f"{value} is below 2")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spanlab",
@@ -71,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"spanlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=True):
+    def common(p, graph=True, trials=positive_int):
         if graph:
             p.add_argument("--graph", metavar="FILE", help="graph text file (n m header)")
             p.add_argument(
@@ -80,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="generated family: complete:n | bipartite:a,b | regular:d,n | gnp:n,p,d",
             )
         p.add_argument("--seed", type=u64, default=None, help="64-bit master seed")
-        p.add_argument("--trials", type=positive_int, default=1000)
+        p.add_argument("--trials", type=trials, default=1000)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
         p.add_argument("--jobs", type=int, default=1, help="worker processes for trial loops")
@@ -113,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "kind", choices=("lemma35", "pipeline", "conjecture", "leaves", "uniformity")
     )
-    common(p)
+    common(p, trials=at_least_two)
     p.add_argument("--sampler", choices=sorted(SAMPLERS), default="wilson")
     p.add_argument("--d", type=int, default=3, help="small-side size for conjecture runs")
     p.add_argument(

@@ -118,6 +118,8 @@ def sample_rejection_one_out(
     if not g.is_connected():
         raise ValueError("sampler requires a connected graph")
     n = g.n
+    if n == 1:
+        return SpanningTree.from_edges(g, [], validate=False), 1
     adj = g.neighbors
     draw = _draws(rng, n).__next__
     for attempt in range(1, max_attempts + 1):
@@ -141,6 +143,8 @@ def one_out_census(g: Graph, cap: int = 10**6) -> dict[tuple, int]:
     tree}.  The number of digraphs is the degree product; a cap guards
     against accidental exponential sweeps.
     """
+    if g.n == 1:
+        return {(): 1}  # the empty map, the only one on an isolated vertex
     total = degree_product(g)
     if total > cap:
         raise CapExceededError(f"{total} one-out digraphs exceed the cap of {cap}")

@@ -1,7 +1,8 @@
 """Independent oracles shared by the test modules.
 
 Everything here deliberately avoids the library's own algorithms:
-spanning trees are counted by scanning edge subsets, isomorphism is
+spanning trees are counted by scanning edge subsets or by Bareiss
+elimination (the library counts by modular elimination), isomorphism is
 checked by trying vertex permutations, and random trees come from
 uniform parent-sequence decoding.
 """
@@ -10,7 +11,20 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from spanlab import Graph, build_graph
+from spanlab import Graph, bareiss_determinant, build_graph
+
+
+def bareiss_count(g: Graph) -> int:
+    """Spanning trees of a connected graph: Bareiss on the reduced Laplacian."""
+    n = g.n
+    lap = [[0] * (n - 1) for _ in range(n - 1)]
+    for u, v in g.edges():
+        for a, b in ((u, v), (v, u)):
+            if a < n - 1:
+                lap[a][a] += 1
+                if b < n - 1:
+                    lap[a][b] = -1
+    return bareiss_determinant(lap)
 
 
 def brute_count_spanning_trees(g: Graph) -> int:

@@ -49,6 +49,32 @@ def test_enumerate_cap_exceeded_is_domain_error(capsys):
     assert err["error"] == "CapExceeded"
 
 
+def test_enumerate_deep_graph_hits_cap_without_traceback(capsys):
+    # 1225 edges: the contraction depth would exceed Python's recursion limit.
+    code = main(["enumerate", "--gen", "complete:50", "--cap", "10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.err)["error"] == "CapExceeded"
+    assert "Traceback" not in captured.err
+
+
+def test_sample_reject_single_vertex(capsys):
+    code, report = run_json(
+        capsys, "sample", "--gen", "complete:1", "--sampler", "reject", "--trials", "3"
+    )
+    assert code == 0
+    assert report["results"]["attempts"] == [1, 1, 1]
+    assert report["results"]["leafCounts"] == [0, 0, 0]
+
+
+def test_count_exact_too_large_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "long_path.txt"
+    sl.write_graph_file(sl.path_graph(2**13 + 1), path)
+    code = main(["count-exact", "--graph", str(path)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "MatrixTooLarge"
+
+
 def test_sample_reject_reports_attempts(capsys):
     code, report = run_json(
         capsys,
@@ -217,6 +243,12 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["reconfigure", "--gen", "complete:5", "--trials", "-3"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:  # a collision rate needs a pair
+        main(["experiment", "pipeline", "--gen", "complete:5", "--trials", "1"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "conjecture", "--d", "3", "--sizes", "50", "--trials", "1"])
     assert exc.value.code == 2
 
 

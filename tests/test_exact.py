@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 
 import spanlab as sl
-from spanlab import CapExceededError
+from spanlab import CapExceededError, MatrixTooLargeError
+from spanlab.exact import _primes
 
-from helpers import brute_count_spanning_trees, brute_spanning_tree_edge_sets, random_connected_graph
+from helpers import (
+    bareiss_count,
+    brute_count_spanning_trees,
+    brute_spanning_tree_edge_sets,
+    random_connected_graph,
+)
+from test_acceptance import SEED, reversibility_families, small_random_graphs  # noqa: F401
 
 
-@pytest.mark.parametrize("n", range(2, 10))
+@pytest.mark.parametrize("n", [*range(2, 10), 150])
 def test_cayley_formula(n):
     assert sl.count_spanning_trees(sl.complete_graph(n)) == n ** (n - 2)
 
@@ -44,6 +51,76 @@ def test_bareiss_matches_numpy_on_random_matrices():
     assert sl.bareiss_determinant([[0, 1], [1, 0]]) == -1
     assert sl.bareiss_determinant([[0, 2, 1], [0, 0, 3], [4, 5, 6]]) == 24
     assert sl.bareiss_determinant([[1, 2], [2, 4]]) == 0
+
+
+def test_modular_determinant_matches_bareiss_on_random_matrices():
+    rng = np.random.default_rng(23)
+    signs = set()
+    for _ in range(300):
+        k = int(rng.integers(1, 9))
+        m = rng.integers(-9, 10, size=(k, k))
+        if k > 1 and rng.random() < 0.25:
+            m[-1] = 2 * m[0] - m[1 % k]  # singular
+        expect = sl.bareiss_determinant(m.tolist())
+        assert sl.modular_determinant(m.tolist()) == expect
+        assert sl.modular_determinant(m) == expect
+        signs.add((expect > 0) - (expect < 0))
+    assert signs == {-1, 0, 1}
+    # Entries wider than 64 bits, and more primes than one.
+    big = [[2**70 + 3, -(2**66)], [5, 2**65 + 1]]
+    assert sl.modular_determinant(big) == sl.bareiss_determinant(big)
+    assert sl.modular_determinant([[-7]]) == -7
+    assert sl.modular_determinant([[0]]) == 0
+    assert sl.modular_determinant([]) == 1
+
+
+def test_modular_determinant_zero_residues_and_row_swaps():
+    p = next(_primes())  # the first prime used
+    cases = [
+        [[p, 1], [1, 0]],  # leading entry 0 mod p: row swap at step 0
+        [[1, 1, 0], [1, 1 + p, 1], [0, 1, 1]],  # leading 2x2 minor 0 mod p: swap at step 1
+        [[p, 0], [0, 3]],  # det 3p: the first column is all 0 mod p
+        [[1, 0], [0, p]],  # det p: the last pivot is 0 mod p
+    ]
+    rng = np.random.default_rng(29)
+    m = rng.integers(-9, 10, size=(6, 6))
+    m[2] *= p  # nonsingular with p | det
+    cases.append(m.tolist())
+    for rows in cases:
+        expect = sl.bareiss_determinant(rows)
+        assert sl.modular_determinant(rows) == expect
+    assert sl.bareiss_determinant(cases[-1]) % p == 0
+    assert sl.bareiss_determinant(cases[-1]) != 0
+
+
+def test_modular_determinant_order_limit():
+    row = [0] * 2**13
+    with pytest.raises(MatrixTooLargeError):
+        sl.modular_determinant([row] * 2**13)
+
+
+@pytest.mark.parametrize("a,b", [(1, 4), (2, 3), (3, 397)])
+def test_complete_bipartite_closed_form(a, b):
+    assert sl.count_spanning_trees(sl.complete_bipartite(a, b)) == a ** (b - 1) * b ** (a - 1)
+
+
+def test_c03_corpus_counts_match_bareiss(small_random_graphs, reversibility_families):
+    corpus = list(small_random_graphs)
+    corpus += [sl.complete_graph(n) for n in range(2, 10)]
+    corpus += [
+        sl.cycle_graph(5),
+        sl.cycle_graph(10),
+        sl.path_graph(6),
+        sl.complete_bipartite(2, 3),
+        sl.complete_bipartite(2, 4),
+        sl.complete_bipartite(3, 3),
+        sl.complete_bipartite(3, 60),
+        sl.random_regular(4, 50, sl.stream(SEED, 93)),
+        sl.gnp_min_degree(40, 0.2, 3, sl.stream(SEED, 94)),
+    ]
+    corpus += list(reversibility_families.values())
+    for g in corpus:
+        assert sl.count_spanning_trees(g) == bareiss_count(g)
 
 
 def test_enumerate_triangle():

@@ -84,6 +84,14 @@ def test_one_out_census_matches_exact_count():
         assert all(v == g.n - 1 for v in census.values())
 
 
+def test_one_out_single_vertex():
+    g = sl.complete_graph(1)
+    assert sl.one_out_census(g) == {(): 1}
+    tree, attempts = sl.sample_rejection_one_out(g, sl.stream(0))
+    assert attempts == 1
+    assert tree.edges() == [] and tree.is_spanning_tree()
+
+
 def test_one_out_census_cap():
     with pytest.raises(CapExceededError):
         sl.one_out_census(sl.complete_graph(5), cap=1000)  # 4^5 = 1024
