@@ -42,63 +42,71 @@ def tree_code(tree: SpanningTree) -> CanonicalTreeCode:
 
 
 def code_from_neighbors(nbrs) -> bytes:
-    """AHU encoding rooted at the tree center; input is trusted to be a tree."""
-    centers = _centers(nbrs)
-    best = None
-    for c in centers:
-        code = _rooted_code(nbrs, c)
-        if best is None or code < best:
-            best = code
-    return best
+    """AHU encoding rooted at the tree center; input is trusted to be a tree.
 
-
-def _centers(nbrs) -> list[int]:
-    """The 1 or 2 middle vertices left by repeatedly stripping leaves."""
+    One pass: stripping leaves layer by layer reaches the center, and a
+    vertex's children are exactly its neighbours stripped before it, so
+    each vertex's code is built as it is stripped and handed to the one
+    neighbour still left.  ``b"()"`` sorts after every other code, so
+    leaf children are only counted and go last.  With two centers each
+    half is built once; the whole tree rooted at either center is that
+    center's half with the other half added as a child, and the smaller
+    of the two encodings wins.
+    """
     n = len(nbrs)
-    if n <= 2:
-        return list(range(n))
+    if n < 3:
+        return (b"", b"()", b"(())")[n]
     deg = [len(x) for x in nbrs]
-    layer = [v for v in range(n) if deg[v] <= 1]
-    removed = len(layer)
-    while removed < n:
+    leaf_kids = [0] * n
+    kids: list[list[bytes] | None] = [None] * n  # codes of non-leaf children
+    leaves = [u for u in range(n) if deg[u] == 1]
+    layer = []
+    for u in leaves:
+        deg[u] = 0
+        p = nbrs[u][0]
+        leaf_kids[p] += 1
+        d = deg[p]
+        deg[p] = d - 1
+        if d == 2:
+            layer.append(p)
+    remaining = n - len(leaves)
+    while len(layer) < remaining:
+        remaining -= len(layer)
         nxt = []
         for u in layer:
             deg[u] = 0
-            for v in nbrs[u]:
-                if deg[v] > 1:
-                    deg[v] -= 1
-                    if deg[v] == 1:
-                        nxt.append(v)
-                elif deg[v] == 1:
-                    deg[v] = 0
-                    nxt.append(v)
-        removed += len(nxt)
+            code = _wrap(kids[u], leaf_kids[u])
+            for p in nbrs[u]:
+                d = deg[p]
+                if d:
+                    deg[p] = d - 1
+                    if d == 2:
+                        nxt.append(p)
+                    ks = kids[p]
+                    if ks is None:
+                        kids[p] = [code]
+                    else:
+                        ks.append(code)
+                    break
         layer = nxt
-    return layer
+    if len(layer) == 1:
+        c = layer[0]
+        return _wrap(kids[c], leaf_kids[c])
+    a, b = layer
+    half_a = _wrap(kids[a], leaf_kids[a])
+    half_b = _wrap(kids[b], leaf_kids[b])
+    return min(
+        _wrap((kids[a] or []) + [half_b], leaf_kids[a]),
+        _wrap((kids[b] or []) + [half_a], leaf_kids[b]),
+    )
 
 
-def _rooted_code(nbrs, root: int) -> bytes:
-    """Iterative post-order composition: (sorted child codes) per vertex."""
-    n = len(nbrs)
-    parent = [-1] * n
-    order = [root]
-    parent[root] = root
-    for u in order:
-        for v in nbrs[u]:
-            if parent[v] == -1:
-                parent[v] = u
-                order.append(v)
-    parent[root] = -1
-    codes: list[bytes | None] = [None] * n
-    children: list[list[bytes]] = [[] for _ in range(n)]
-    for u in reversed(order):
-        kids = children[u]
-        kids.sort()
-        codes[u] = b"(" + b"".join(kids) + b")"
-        p = parent[u]
-        if p >= 0:
-            children[p].append(codes[u])
-    return codes[root]
+def _wrap(kids, leaf_kids: int) -> bytes:
+    """Code of a vertex from its non-leaf child codes and leaf-child count."""
+    if kids is None:
+        return b"(" + b"()" * leaf_kids + b")"
+    kids.sort()
+    return b"(" + b"".join(kids) + b"()" * leaf_kids + b")"
 
 
 def histogram_key(degrees) -> tuple[tuple[int, int], ...]:

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import statistics
 import sys
 from datetime import datetime, timezone
@@ -78,6 +79,20 @@ def at_least_two(text: str) -> int:
     return value
 
 
+def job_count(text: str) -> int:
+    """Worker processes: at least 1 and at most one per CPU."""
+    value = positive_int(text)
+    cpus = os.cpu_count() or 1
+    if value > cpus:
+        raise ValueError(f"{value} exceeds the {cpus} CPUs of this machine")
+    return value
+
+
+def size_list(text: str) -> tuple[int, ...]:
+    """Comma-separated positive graph orders."""
+    return tuple(positive_int(part) for part in text.split(","))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spanlab",
@@ -99,14 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=trials, default=1000)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for trial loops")
+        p.add_argument("--jobs", type=job_count, default=1, help="worker processes for trial loops")
 
     p = sub.add_parser("count-exact", help="exact spanning-tree count and degree-product bound")
     common(p)
 
     p = sub.add_parser("enumerate", help="list every spanning tree (cap-guarded)")
     common(p)
-    p.add_argument("--cap", type=int, default=10**5)
+    p.add_argument("--cap", type=positive_int, default=10**5)
 
     p = sub.add_parser("sample", help="sample uniform spanning trees")
     common(p)
@@ -123,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count-noniso", help="count non-isomorphic spanning trees")
     common(p)
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    p.add_argument("--budget", type=int, default=10**4)
+    p.add_argument("--budget", type=positive_int, default=10**4)
 
     p = sub.add_parser("experiment", help="Monte Carlo experiment suites")
     p.add_argument(
@@ -131,16 +146,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p, trials=at_least_two)
     p.add_argument("--sampler", choices=sorted(SAMPLERS), default="wilson")
-    p.add_argument("--d", type=int, default=3, help="small-side size for conjecture runs")
+    p.add_argument("--d", type=positive_int, default=3, help="small-side size for conjecture runs")
     p.add_argument(
         "--sizes",
+        type=size_list,
         default="50,100,200,400",
         help="comma-separated graph orders for conjecture runs",
     )
     p.add_argument(
         "--per-trial", action="store_true", help="include per-trial digests in the report"
     )
-    p.add_argument("--cap", type=int, default=75, help="uniformity support cap")
+    p.add_argument("--cap", type=positive_int, default=75, help="uniformity support cap")
     return parser
 
 
@@ -302,7 +318,7 @@ def _estimates_block(report) -> dict:
 def _run_experiment(args, parser, seed):
     kind = args.kind
     if kind == "conjecture":
-        sizes = tuple(int(s) for s in args.sizes.split(","))
+        sizes = args.sizes
         scaling = scaling_experiment(args.d, sizes, args.trials, seed=seed, jobs=args.jobs)
         baseline = multinomial_baseline(args.d, sizes, args.trials, seed=seed)
         largest = scaling.rows[-1]

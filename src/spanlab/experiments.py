@@ -161,25 +161,44 @@ def exact_vector_distribution(
     for u in inst.b_vertices:
         bump(offs[u], +1)
 
-    counts: dict[tuple, int] = {}
-    a_list = inst.a_vertices
+    def pick(u):
+        old = indeg[u] + offs[u]
+        bump(old, -1)
+        bump(old + 1, +1)
+        indeg[u] += 1
 
-    def walk(i):
-        if i == len(a_list):
+    def unpick(u):
+        indeg[u] -= 1
+        old = indeg[u] + offs[u]
+        bump(old + 1, -1)
+        bump(old, +1)
+
+    # Depth-first over the choice tuples on an explicit stack: at[i] is the
+    # index of the choice level i holds, -1 before its first one.
+    counts: dict[tuple, int] = {}
+    options = [inst.choices[v] for v in inst.a_vertices]
+    depth = len(options)
+    at = [-1] * depth
+    i = 0
+    while i >= 0:
+        if i == depth:
             key = tuple(sorted(hist.items()))
             counts[key] = counts.get(key, 0) + 1
-            return
-        for u in inst.choices[a_list[i]]:
-            old = indeg[u] + offs[u]
-            bump(old, -1)
-            bump(old + 1, +1)
-            indeg[u] += 1
-            walk(i + 1)
-            indeg[u] -= 1
-            bump(old + 1, -1)
-            bump(old, +1)
+            i -= 1
+            continue
+        opts = options[i]
+        k = at[i]
+        if k >= 0:
+            unpick(opts[k])
+        k += 1
+        if k == len(opts):
+            at[i] = -1
+            i -= 1
+        else:
+            at[i] = k
+            pick(opts[k])
+            i += 1
 
-    walk(0)
     unit = Fraction(1, outcomes)
     return {key: c * unit for key, c in counts.items()}
 

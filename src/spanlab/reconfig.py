@@ -175,36 +175,37 @@ def reconfigure(
 
     Always returns a fresh tree (auditing needs both).  The result is a
     spanning tree by construction: candidates exclude selected leaves, so
-    the unselected core stays a tree and each leaf hangs off it.
+    the unselected core stays a tree and each leaf hangs off it.  Only the
+    rows of the moved leaves and of their old and new parents are new
+    lists; every other row is shared with ``tree`` (trees are never
+    mutated).
     """
     if validate:
         validate_selection(g, tree, selection)
+    nbrs = tree.neighbors.copy()
+    degs = tree.degrees.copy()
     chosen = selection.leaves
     if not chosen:
-        return SpanningTree(
-            g, [nbrs[:] for nbrs in tree.neighbors], list(tree.degrees)
-        )
+        return SpanningTree(g, nbrs, degs)
     buf = rng.random(len(chosen)).tolist()
-    new_parent = {}
+    moving = set(chosen)
+    fresh = {nbrs[v][0] for v in chosen}  # old parents: drop the moving leaves
+    for p in fresh:
+        row = [w for w in nbrs[p] if w not in moving]
+        nbrs[p] = row
+        degs[p] = len(row)
+    parents = selection.parents
     for i, v in enumerate(chosen):
-        cands = selection.parents[v]
-        new_parent[v] = cands[int(buf[i] * len(cands))]
-    n = g.n
-    in_l = bytearray(n)
-    for v in chosen:
-        in_l[v] = 1
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        if in_l[u]:
-            continue
-        for w in tree.neighbors[u]:
-            if u < w and not in_l[w]:
-                nbrs[u].append(w)
-                nbrs[w].append(u)
-    for v, p in new_parent.items():
-        nbrs[v].append(p)
-        nbrs[p].append(v)
-    return SpanningTree(g, nbrs, [len(x) for x in nbrs])
+        cands = parents[v]
+        p = cands[int(buf[i] * len(cands))]
+        nbrs[v] = [p]
+        if p in fresh:
+            nbrs[p].append(v)
+        else:
+            nbrs[p] = nbrs[p] + [v]
+            fresh.add(p)
+        degs[p] += 1
+    return SpanningTree(g, nbrs, degs)
 
 
 @dataclass

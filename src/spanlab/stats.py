@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sps
 
 
 def chi_square_uniform(observed, support_size: int) -> tuple[float, float]:
@@ -16,6 +15,9 @@ def chi_square_uniform(observed, support_size: int) -> tuple[float, float]:
     if len(counts) > support_size:
         raise ValueError("observed more distinct outcomes than the support size")
     counts = counts + [0] * (support_size - len(counts))
+    # scipy.stats takes about a second to import; only this test needs it.
+    from scipy import stats as sps
+
     stat, pvalue = sps.chisquare(counts)
     return float(stat), float(pvalue)
 

@@ -12,8 +12,9 @@ class NotATreeError(ValueError):
 class SpanningTree:
     """A spanning tree of a host Graph.
 
-    Holds its own adjacency lists and a degree cache; never mutated after
-    construction (reconfiguration returns a fresh tree).
+    Holds adjacency lists and a degree cache; never mutated after
+    construction (reconfiguration returns a fresh tree that shares the
+    rows it did not change).
     """
 
     __slots__ = ("graph", "neighbors", "degrees")

@@ -3,15 +3,18 @@
 Everything here deliberately avoids the library's own algorithms:
 spanning trees are counted by scanning edge subsets or by Bareiss
 elimination (the library counts by modular elimination), isomorphism is
-checked by trying vertex permutations, and random trees come from
-uniform parent-sequence decoding.
+checked by trying vertex permutations, canonical codes are built by
+rooting the whole tree at each center in turn (the library builds them
+in one leaf-stripping pass), and random trees come from uniform
+parent-sequence decoding.
 """
 
 from __future__ import annotations
 
+import heapq
 from itertools import combinations, permutations
 
-from spanlab import Graph, bareiss_determinant, build_graph
+from spanlab import Graph, SpanningTree, bareiss_determinant, build_graph
 
 
 def bareiss_count(g: Graph) -> int:
@@ -25,6 +28,76 @@ def bareiss_count(g: Graph) -> int:
                 if b < n - 1:
                     lap[a][b] = -1
     return bareiss_determinant(lap)
+
+
+def reference_code(nbrs) -> bytes:
+    """Center-rooted AHU code: root the whole tree at each center, keep the
+    smaller encoding."""
+    return min(_rooted_code(nbrs, c) for c in tree_centers(nbrs))
+
+
+def tree_centers(nbrs) -> list[int]:
+    """The 1 or 2 middle vertices left by repeatedly stripping leaves
+    (a single center may be listed twice)."""
+    n = len(nbrs)
+    if n <= 2:
+        return list(range(n))
+    deg = [len(x) for x in nbrs]
+    layer = [v for v in range(n) if deg[v] <= 1]
+    removed = len(layer)
+    while removed < n:
+        nxt = []
+        for u in layer:
+            deg[u] = 0
+            for v in nbrs[u]:
+                if deg[v] > 1:
+                    deg[v] -= 1
+                    if deg[v] == 1:
+                        nxt.append(v)
+                elif deg[v] == 1:
+                    deg[v] = 0
+                    nxt.append(v)
+        removed += len(nxt)
+        layer = nxt
+    return layer
+
+
+def _rooted_code(nbrs, root: int) -> bytes:
+    """Iterative post-order composition: (sorted child codes) per vertex."""
+    n = len(nbrs)
+    parent = [-1] * n
+    order = [root]
+    parent[root] = root
+    for u in order:
+        for v in nbrs[u]:
+            if parent[v] == -1:
+                parent[v] = u
+                order.append(v)
+    parent[root] = -1
+    codes: list[bytes | None] = [None] * n
+    children: list[list[bytes]] = [[] for _ in range(n)]
+    for u in reversed(order):
+        kids = children[u]
+        kids.sort()
+        codes[u] = b"(" + b"".join(kids) + b")"
+        p = parent[u]
+        if p >= 0:
+            children[p].append(codes[u])
+    return codes[root]
+
+
+def reference_reconfigure(g: Graph, tree: SpanningTree, selection, rng) -> SpanningTree:
+    """Leaf reconfiguration rebuilt from scratch: every unselected tree edge
+    is kept, and each selected leaf hangs off a candidate drawn from the same
+    uniform buffer as the library's patched version."""
+    chosen = set(selection.leaves)
+    edges = [(u, w) for u, w in tree.edges() if u not in chosen and w not in chosen]
+    if selection.leaves:
+        buf = rng.random(len(selection.leaves)).tolist()
+        for x, v in zip(buf, selection.leaves):
+            cands = selection.parents[v]
+            edges.append((v, cands[int(x * len(cands))]))
+    return SpanningTree.from_edges(g, edges, validate=False)
 
 
 def brute_count_spanning_trees(g: Graph) -> int:
@@ -89,18 +162,22 @@ def brute_isomorphic(edges_a, edges_b, n: int) -> bool:
 
 def random_tree_edges(n: int, rng) -> list[tuple[int, int]]:
     """Uniform random labeled tree from a random parent sequence."""
+    if n <= 2:
+        return prufer_tree_edges(n, [])
+    return prufer_tree_edges(n, [int(x) for x in rng.integers(0, n, size=n - 2)])
+
+
+def prufer_tree_edges(n: int, seq) -> list[tuple[int, int]]:
+    """The labeled tree on n vertices with Pruefer sequence ``seq`` (n - 2 entries)."""
     if n == 1:
         return []
     if n == 2:
         return [(0, 1)]
-    seq = [int(x) for x in rng.integers(0, n, size=n - 2)]
     degree = [1] * n
     for v in seq:
         degree[v] += 1
     edges = []
-    leaf_heap = sorted(v for v in range(n) if degree[v] == 1)
-    import heapq
-
+    leaf_heap = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaf_heap)
     for v in seq:
         u = heapq.heappop(leaf_heap)

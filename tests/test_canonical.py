@@ -1,10 +1,89 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spanlab as sl
 from spanlab import CapExceededError, NotATreeError
+from spanlab.canonical import code_from_neighbors
 
-from helpers import brute_isomorphic, random_tree_edges, relabel_edges
+from helpers import (
+    brute_isomorphic,
+    prufer_tree_edges,
+    random_tree_edges,
+    reference_code,
+    relabel_edges,
+    tree_centers,
+)
+
+
+def _neighbors(edges, n):
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return nbrs
+
+
+@st.composite
+def pruefer_trees(draw):
+    """Neighbour lists of a tree decoded from a random Pruefer sequence,
+    every row in a random order."""
+    n = draw(st.integers(1, 60))
+    seq = draw(st.lists(st.integers(0, n - 1), min_size=max(n - 2, 0), max_size=max(n - 2, 0)))
+    nbrs = _neighbors(prufer_tree_edges(n, seq), n)
+    shuffle = draw(st.randoms(use_true_random=False))
+    for row in nbrs:
+        shuffle.shuffle(row)
+    return nbrs
+
+
+@settings(max_examples=400, deadline=None)
+@given(pruefer_trees())
+def test_code_matches_reference_on_pruefer_trees(nbrs):
+    assert code_from_neighbors(nbrs) == reference_code(nbrs)
+
+
+def _spider(legs):
+    """One hub with paths of the given lengths hanging off it."""
+    edges, n = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, n))
+            prev, n = n, n + 1
+    return edges, n
+
+
+@pytest.mark.parametrize(
+    "edges, n, centers",
+    [
+        ([], 1, 1),
+        ([(0, 1)], 2, 2),
+        ([(0, 1), (1, 2)], 3, 1),
+        ([(0, 2), (2, 1)], 3, 1),
+        ([(i, i + 1) for i in range(9)], 10, 2),  # even path
+        ([(i, i + 1) for i in range(10)], 11, 1),  # odd path
+        ([(0, v) for v in range(1, 12)], 12, 1),  # star
+        ([(5, v) for v in range(5)] + [(5, v) for v in range(6, 12)], 12, 1),  # star at 5
+        (*_spider([3, 3, 2, 1]), 1),  # one center, uneven legs
+        ([(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (4, 6), (5, 7)], 8, 2),  # two centers
+        ([(0, 1), (1, 2), (1, 3), (2, 4), (2, 5)], 6, 2),  # double star
+    ],
+)
+def test_code_matches_reference_on_shapes(edges, n, centers):
+    nbrs = _neighbors(edges, n)
+    assert code_from_neighbors(nbrs) == reference_code(nbrs)
+    assert sl.canonical_code(edges, n).code == reference_code(nbrs)
+    # The oracle's leaf stripping may list a lone center twice.
+    assert len(set(tree_centers(nbrs))) == centers
+
+
+def test_code_matches_reference_on_sampled_trees():
+    for g in (sl.random_regular(16, 300, sl.stream(21)), sl.complete_bipartite(3, 60)):
+        for t in range(10):
+            tree = sl.sample_wilson(g, sl.stream(22, t))
+            assert sl.tree_code(tree).code == reference_code(tree.neighbors)
 
 
 def test_path_vs_star_codes_differ():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -250,6 +253,34 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "conjecture", "--d", "3", "--sizes", "50", "--trials", "1"])
     assert exc.value.code == 2
+    too_many_jobs = str((os.cpu_count() or 1) + 1)
+    for argv in (
+        ["experiment", "pipeline", "--gen", "complete:5", "--jobs", "0"],
+        ["experiment", "pipeline", "--gen", "complete:5", "--jobs", "-2"],
+        ["experiment", "pipeline", "--gen", "complete:5", "--jobs", too_many_jobs],
+        ["experiment", "pipeline", "--gen", "complete:5", "--jobs", "1000000000"],
+        ["enumerate", "--gen", "complete:4", "--cap", "0"],
+        ["experiment", "uniformity", "--gen", "complete:4", "--cap", "-1"],
+        ["count-noniso", "--gen", "complete:4", "--budget", "0"],
+        ["experiment", "conjecture", "--d", "0", "--sizes", "50"],
+        ["experiment", "conjecture", "--sizes", "50,0"],
+        ["experiment", "conjecture", "--sizes", "50,,100"],
+        ["experiment", "conjecture", "--sizes", "fifty"],
+    ):
+        # argparse rejects each value before any handler, and so any pool, runs.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy.stats costs about a second to import; only the chi-square test
+    # uses it, so it is imported there and not when the CLI module loads.
+    src = os.path.dirname(os.path.dirname(sl.__file__))
+    code = "import sys, spanlab, spanlab.cli; sys.exit(int('scipy' in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_missing_file_is_domain_error(capsys):

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 import spanlab as sl
 from spanlab import BipartiteOneOutInstance, CapExceededError
-from spanlab.experiments import sample_choices
+from spanlab.experiments import _vector_from_picks, sample_choices
 
 
 def make_instance(a_degrees, offsets=None):
@@ -126,6 +127,32 @@ def test_exact_distribution_cap():
     inst = make_instance([8] * 8)  # 8^8 = 2^24 outcomes
     with pytest.raises(CapExceededError):
         sl.exact_vector_distribution(inst, cap=2**20)
+
+
+def test_exact_distribution_matches_product_enumeration():
+    # Oracle: enumerate every choice tuple in the same depth-first order as
+    # the walk and digest each with the sampler's own histogram code.
+    rng = np.random.default_rng(67)
+    for trial in range(40):
+        k = int(rng.integers(0, 6))
+        degs = [int(rng.integers(1, 5)) for _ in range(k)] or [1]
+        offsets = {v: int(rng.integers(0, 3)) for v in range(len(degs) + max(degs))}
+        inst = make_instance(degs, offsets)
+        counts: dict[tuple, int] = {}
+        for picks in product(*(inst.choices[v] for v in inst.a_vertices)):
+            key = _vector_from_picks(inst, picks)
+            counts[key] = counts.get(key, 0) + 1
+        unit = Fraction(1, inst.outcome_count())
+        expected = {key: c * unit for key, c in counts.items()}
+        got = sl.exact_vector_distribution(inst)
+        assert list(got.items()) == list(expected.items())
+
+
+def test_exact_distribution_deep_instance():
+    # 1500 single-choice A-vertices: one outcome, and no recursion limit.
+    inst = make_instance([1] * 1500)
+    # Every A-vertex lands on the one B-vertex, which ends at in-degree 1500.
+    assert sl.exact_vector_distribution(inst) == {((1, 1500), (1500, 1)): Fraction(1)}
 
 
 def test_estimator_within_its_ci_of_exact():

@@ -15,7 +15,7 @@ from spanlab import (
 )
 from spanlab.reconfig import may_parent
 
-from helpers import random_connected_graph
+from helpers import random_connected_graph, reference_reconfigure
 
 
 def subset(*vertices) -> VertexSubset:
@@ -213,6 +213,43 @@ def test_reconfigure_choices_are_uniform():
     )
     assert set(counts) == {1, 2}
     assert abs(counts[1] - 10000) < 400  # ~5 sigma for a fair coin
+
+
+def _random_selection(g, t, rng) -> LeafSelection:
+    """Random leaves of t, each with a random non-empty set of unselected
+    graph neighbours that includes its current parent."""
+    leaves = [v for v in t.leaves() if rng.random() < 0.5]
+    chosen = set(leaves)
+    parents = {}
+    for v in leaves:
+        others = [u for u in g.neighbors[v] if u not in chosen and u != t.parent_of(v)]
+        keep = [u for u in others if rng.random() < 0.5]
+        parents[v] = tuple(sorted([t.parent_of(v), *keep]))
+    return LeafSelection(tuple(leaves), parents)
+
+
+def test_reconfigure_matches_rebuild_from_scratch():
+    # The patched tree equals one rebuilt from every kept edge plus the
+    # moved leaves, drawn from the same stream, on both branches and on
+    # random selections that select_leaves would not make.
+    rng = np.random.default_rng(37)
+    graphs = [sl.random_regular(16, 300, sl.stream(32)), sl.complete_bipartite(3, 40)]
+    for i, g in enumerate(graphs):
+        for trial in range(6):
+            t = sl.sample_wilson(g, sl.stream(800, i, trial))
+            r = sl.sample_vertex_subset(g.n, sl.stream(801, i, trial))
+            for sel in (sl.select_leaves(g, t, r).selection, _random_selection(g, t, rng)):
+                sl.validate_selection(g, t, sel)
+                before = t.edge_key()
+                out = sl.reconfigure(g, t, sel, sl.stream(802, i, trial))
+                ref = reference_reconfigure(g, t, sel, sl.stream(802, i, trial))
+                assert out.edge_key() == ref.edge_key()
+                assert out.degrees == ref.degrees
+                assert out.degrees == [len(row) for row in out.neighbors]
+                assert out.is_spanning_tree()
+                assert t.edge_key() == before
+            report = sl.audit_reversibility(g, t, r, trials=5, rng=sl.stream(803, i, trial))
+            assert report.ok
 
 
 def test_validate_selection_rejects_bad_input():
