@@ -29,6 +29,7 @@ from .exact import (
     kostochka_upper_bound_holds,
 )
 from .experiments import (
+    check_sizes,
     estimate_max_point_mass,
     instance_from_selection,
     multinomial_baseline,
@@ -47,13 +48,22 @@ from .sampling import (
 )
 from .trees import NotATreeError
 
+
+class EmptySelectionError(ValueError):
+    """The leaf selection an experiment builds its instance from is empty."""
+
+    code = "EmptySelection"
+
+
+# Only classes that carry a typed ``code``: any other exception is a bug
+# and must surface as one, not as a JSON domain error.
 DOMAIN_ERRORS = (
     GraphError,
     CapExceededError,
     AttemptsExhaustedError,
     NotATreeError,
     MatrixTooLargeError,
-    ValueError,
+    EmptySelectionError,
 )
 
 
@@ -319,6 +329,10 @@ def _run_experiment(args, parser, seed):
     kind = args.kind
     if kind == "conjecture":
         sizes = args.sizes
+        try:
+            check_sizes(args.d, sizes)
+        except ValueError as exc:
+            parser.error(str(exc))
         scaling = scaling_experiment(args.d, sizes, args.trials, seed=seed, jobs=args.jobs)
         baseline = multinomial_baseline(args.d, sizes, args.trials, seed=seed)
         largest = scaling.rows[-1]
@@ -390,7 +404,7 @@ def _run_experiment(args, parser, seed):
         subset = sample_vertex_subset(g.n, rnglib.stream(seed, rnglib.SUBSET, 0))
         outcome = select_leaves(g, base_tree, subset)
         if not outcome.selection.leaves:
-            raise ValueError(
+            raise EmptySelectionError(
                 "trial 0 selected no leaves on this graph; try another seed or graph"
             )
         inst = instance_from_selection(g, base_tree, outcome.selection)

@@ -392,6 +392,14 @@ class ScalingReport:
         return [row.codes.max_mass_bound for row in self.rows]
 
 
+def check_sizes(d: int, sizes) -> None:
+    """Raise ValueError unless every size exceeds 2d and no size decreases."""
+    if any(n <= 2 * d for n in sizes):
+        raise ValueError("every size must exceed 2d")
+    if list(sizes) != sorted(sizes):
+        raise ValueError("sizes must be increasing")
+
+
 def scaling_experiment(
     d: int,
     sizes,
@@ -406,10 +414,7 @@ def scaling_experiment(
     joint bootstrap across sizes.
     """
     sizes = tuple(sizes)
-    if any(n <= 2 * d for n in sizes):
-        raise ValueError("every size must exceed 2d")
-    if list(sizes) != sorted(sizes):
-        raise ValueError("sizes must be increasing")
+    check_sizes(d, sizes)
     master = rnglib.resolve_seed(seed)
     rows = []
     for i, n in enumerate(sizes):

@@ -7,6 +7,7 @@ sorted so that every seeded run iterates neighbours in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -39,6 +40,10 @@ class GenerationRetriesExhaustedError(GraphError):
     code = "GenerationRetriesExhausted"
 
 
+class DisconnectedGraphError(GraphError):
+    code = "DisconnectedGraph"
+
+
 class Graph:
     """Simple undirected graph; immutable after construction.
 
@@ -47,14 +52,13 @@ class Graph:
 
     __slots__ = ("n", "m", "neighbors", "degrees", "_edge_set", "_connected")
 
-    def __init__(self, n: int, neighbors: tuple[tuple[int, ...], ...], m: int):
+    def __init__(self, n: int, neighbors: tuple[tuple[int, ...], ...], edge_set):
+        """``edge_set`` holds every edge once, as (u, v) with u < v."""
         self.n = n
-        self.m = m
+        self.m = len(edge_set)
         self.neighbors = neighbors
         self.degrees = tuple(len(nbrs) for nbrs in neighbors)
-        self._edge_set = frozenset(
-            (u, v) for u in range(n) for v in neighbors[u] if u < v
-        )
+        self._edge_set = frozenset(edge_set)
         self._connected: bool | None = None
 
     def edges(self) -> list[tuple[int, int]]:
@@ -117,7 +121,6 @@ def build_graph(edges, n: int) -> Graph:
         raise VertexOutOfRangeError("vertex count must be non-negative")
     adj: list[list[int]] = [[] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
-    m = 0
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise VertexOutOfRangeError(f"edge ({u},{v}) outside 0..{n - 1}")
@@ -129,8 +132,7 @@ def build_graph(edges, n: int) -> Graph:
         seen.add(key)
         adj[u].append(v)
         adj[v].append(u)
-        m += 1
-    return Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in adj), m)
+    return Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in adj), seen)
 
 
 def check_connected_min_degree(g: Graph, d: int) -> bool:
@@ -175,9 +177,12 @@ def random_regular(d: int, n: int, rng, retries: int = 1000) -> Graph:
     """Random simple d-regular graph: configuration model, then edge switches.
 
     Stub pairing is repaired NetworkX-style (conflicting stubs go back in
-    the pool); 100*m random double-edge switches mix the result.  Exact
-    uniformity over d-regular graphs is not required by anything built on
-    top; connectivity is, so disconnected outcomes are regenerated.
+    the pool); 100*m random double-edge switches mix the result.  The
+    switch randomness is drawn whole, as one array of 2 * 100m pair
+    indices and then one of 100m flip uniforms, and consumed block by
+    block.  Exact uniformity over d-regular graphs is not required by
+    anything built on top; connectivity is, so disconnected outcomes are
+    regenerated.
     """
     if d < 0 or n < 1 or d >= n or (d * n) % 2 != 0:
         raise InfeasibleSpecError(f"no simple {d}-regular graph on {n} vertices")
@@ -216,6 +221,12 @@ def _pair_stubs(d: int, n: int, rng) -> set[tuple[int, int]] | None:
     return edges
 
 
+# Attempts per block of the switch loop: the drawn arrays become Python
+# lists one block at a time, which reads fast without holding the whole
+# draw as Python ints.
+_SWITCH_BLOCK = 1 << 16
+
+
 def _double_edge_switches(edges: set[tuple[int, int]], rng) -> set[tuple[int, int]]:
     edge_list = list(edges)
     m = len(edge_list)
@@ -223,29 +234,37 @@ def _double_edge_switches(edges: set[tuple[int, int]], rng) -> set[tuple[int, in
         return edges
     attempts = 100 * m
     pair_idx = rng.integers(0, m, size=2 * attempts)
-    flips = rng.random(attempts)
-    for t in range(attempts):
-        i = pair_idx[2 * t]
-        j = pair_idx[2 * t + 1]
-        if i == j:
-            continue
-        a, b = edge_list[i]
-        c, e = edge_list[j]
-        if flips[t] < 0.5:
-            c, e = e, c
-        # Rewire {a,b},{c,e} -> {a,c},{b,e} when both new edges are fresh.
-        if a == c or a == e or b == c or b == e:
-            continue
-        new1 = (a, c) if a < c else (c, a)
-        new2 = (b, e) if b < e else (e, b)
-        if new1 in edges or new2 in edges:
-            continue
-        edges.remove(edge_list[i])
-        edges.remove(edge_list[j])
-        edges.add(new1)
-        edges.add(new2)
-        edge_list[i] = new1
-        edge_list[j] = new2
+    flips = rng.random(attempts) < 0.5
+    remove = edges.remove
+    add = edges.add
+    for start in range(0, attempts, _SWITCH_BLOCK):
+        stop = min(start + _SWITCH_BLOCK, attempts)
+        pairs = iter(pair_idx[2 * start : 2 * stop].tolist())
+        for i, j, flip in zip(pairs, pairs, flips[start:stop].tolist()):
+            if i == j:
+                continue
+            old1 = edge_list[i]
+            old2 = edge_list[j]
+            a, b = old1
+            if flip:
+                e, c = old2
+            else:
+                c, e = old2
+            # Rewire {a,b},{c,e} -> {a,c},{b,e} when both new edges are fresh.
+            if a == c or a == e or b == c or b == e:
+                continue
+            new1 = (a, c) if a < c else (c, a)
+            if new1 in edges:
+                continue
+            new2 = (b, e) if b < e else (e, b)
+            if new2 in edges:
+                continue
+            remove(old1)
+            remove(old2)
+            add(new1)
+            add(new2)
+            edge_list[i] = new1
+            edge_list[j] = new2
     return edges
 
 
@@ -365,28 +384,25 @@ def generate(spec: GraphSpec, seed: int) -> Graph:
 def read_graph_file(path) -> Graph:
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = [
-                ln.strip()
-                for ln in fh
-                if ln.strip() and not ln.lstrip().startswith("#")
-            ]
-    except OSError as exc:
+            lines = [ln for raw in fh if (ln := raw.strip()) and ln[0] != "#"]
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read graph file {path}: {exc}") from exc
     if not lines:
         raise GraphError(f"{path}: empty graph file")
     try:
-        n, m = (int(s) for s in lines[0].split())
+        n, m = map(int, lines[0].split())
     except ValueError:
         raise GraphError(f"{path}: header must be 'n m'") from None
     if len(lines) - 1 != m:
         raise GraphError(f"{path}: expected {m} edge lines, found {len(lines) - 1}")
     edges = []
-    for ln in lines[1:]:
-        try:
-            u, v = (int(s) for s in ln.split())
-        except ValueError:
-            raise GraphError(f"{path}: bad edge line {ln!r}") from None
-        edges.append((u, v))
+    append = edges.append
+    try:
+        for ln in islice(lines, 1, None):
+            u, v = ln.split()
+            append((int(u), int(v)))
+    except ValueError:
+        raise GraphError(f"{path}: bad edge line {ln!r}") from None
     return build_graph(edges, n)
 
 

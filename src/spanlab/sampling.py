@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .exact import CapExceededError, degree_product
-from .graphs import Graph, find
+from .graphs import DisconnectedGraphError, Graph, find
 from .trees import SpanningTree
 
 _CHUNK = 65536
@@ -43,7 +43,7 @@ def _batches(rng, chunk: int):
 def sample_wilson(g: Graph, rng) -> SpanningTree:
     """Uniform spanning tree via loop-erased random walks to a growing tree."""
     if not g.is_connected():
-        raise ValueError("sampler requires a connected graph")
+        raise DisconnectedGraphError("sampler requires a connected graph")
     n = g.n
     adj = g.neighbors
     draw = _draws(rng, n).__next__
@@ -68,7 +68,7 @@ def sample_wilson(g: Graph, rng) -> SpanningTree:
 def sample_aldous_broder(g: Graph, rng) -> SpanningTree:
     """Uniform spanning tree from the first-entry edges of a covering walk."""
     if not g.is_connected():
-        raise ValueError("sampler requires a connected graph")
+        raise DisconnectedGraphError("sampler requires a connected graph")
     n = g.n
     adj = g.neighbors
     draw = _draws(rng, n).__next__
@@ -116,7 +116,7 @@ def sample_rejection_one_out(
     count exposes the acceptance rate (degree-product / tree-count effect).
     """
     if not g.is_connected():
-        raise ValueError("sampler requires a connected graph")
+        raise DisconnectedGraphError("sampler requires a connected graph")
     n = g.n
     if n == 1:
         return SpanningTree.from_edges(g, [], validate=False), 1

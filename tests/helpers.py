@@ -5,8 +5,9 @@ spanning trees are counted by scanning edge subsets or by Bareiss
 elimination (the library counts by modular elimination), isomorphism is
 checked by trying vertex permutations, canonical codes are built by
 rooting the whole tree at each center in turn (the library builds them
-in one leaf-stripping pass), and random trees come from uniform
-parent-sequence decoding.
+in one leaf-stripping pass), edge switches read the drawn numpy arrays
+one element per attempt (the library converts them block by block), and
+random trees come from uniform parent-sequence decoding.
 """
 
 from __future__ import annotations
@@ -84,6 +85,41 @@ def _rooted_code(nbrs, root: int) -> bytes:
         if p >= 0:
             children[p].append(codes[u])
     return codes[root]
+
+
+def reference_double_edge_switches(edges: set, rng) -> set:
+    """Double-edge switches with per-element reads of the whole drawn arrays:
+    2 * attempts pair indices, then one uniform per attempt for the flip."""
+    edge_list = list(edges)
+    m = len(edge_list)
+    if m < 2:
+        return edges
+    attempts = 100 * m
+    pair_idx = rng.integers(0, m, size=2 * attempts)
+    flips = rng.random(attempts)
+    for t in range(attempts):
+        i = pair_idx[2 * t]
+        j = pair_idx[2 * t + 1]
+        if i == j:
+            continue
+        a, b = edge_list[i]
+        c, e = edge_list[j]
+        if flips[t] < 0.5:
+            c, e = e, c
+        # Rewire {a,b},{c,e} -> {a,c},{b,e} when both new edges are fresh.
+        if a == c or a == e or b == c or b == e:
+            continue
+        new1 = (a, c) if a < c else (c, a)
+        new2 = (b, e) if b < e else (e, b)
+        if new1 in edges or new2 in edges:
+            continue
+        edges.remove(edge_list[i])
+        edges.remove(edge_list[j])
+        edges.add(new1)
+        edges.add(new2)
+        edge_list[i] = new1
+        edge_list[j] = new2
+    return edges
 
 
 def reference_reconfigure(g: Graph, tree: SpanningTree, selection, rng) -> SpanningTree:

@@ -1,11 +1,17 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spanlab as sl
+from spanlab import cli
 from spanlab.cli import main
 
 
@@ -286,3 +292,102 @@ def test_cli_import_does_not_load_scipy():
 def test_missing_file_is_domain_error(capsys):
     code = main(["count-exact", "--graph", "/nonexistent/g.txt"])
     assert code == 1
+
+
+def domain_error(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    return json.loads(captured.err)
+
+
+def test_non_ascii_graph_file_is_graph_error(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"2 1\n0 \xff\n")
+    err = domain_error(capsys, "count-exact", "--graph", str(path))
+    assert err["error"] == "GraphError"
+    assert "can't decode byte 0xff" in err["message"]
+
+
+@pytest.mark.parametrize("command", [["sample"], ["experiment", "pipeline"]])
+def test_disconnected_graph_file_is_typed_domain_error(tmp_path, capsys, command):
+    path = tmp_path / "two_edges.txt"
+    path.write_text("4 2\n0 1\n2 3\n")
+    err = domain_error(capsys, *command, "--graph", str(path), "--trials", "3")
+    assert err == {"error": "DisconnectedGraph", "message": "sampler requires a connected graph"}
+
+
+def test_lemma35_empty_selection_is_typed_domain_error(capsys):
+    # On the triangle, trial 0 at seed 1 selects no leaf to build on.
+    err = domain_error(
+        capsys, "experiment", "lemma35", "--gen", "complete:3", "--trials", "2", "--seed", "1"
+    )
+    assert err["error"] == "EmptySelection"
+
+
+@pytest.mark.parametrize(
+    "sizes,message",
+    [("5,10", "every size must exceed 2d"), ("100,50", "sizes must be increasing")],
+)
+def test_conjecture_bad_sizes_are_usage_errors(capsys, sizes, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "conjecture", "--d", "3", "--sizes", sizes, "--trials", "2"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_value_error_in_handler_is_not_a_domain_error(monkeypatch, capsys):
+    def broken(args, parser, seed):
+        raise ValueError("a bug, not bad input")
+
+    assert all(isinstance(cls.__dict__.get("code"), str) for cls in cli.DOMAIN_ERRORS)
+    monkeypatch.setitem(cli.HANDLERS, "count-exact", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["count-exact", "--gen", "complete:3"])
+    assert capsys.readouterr().err == ""
+
+
+def _codes(classes):
+    for cls in classes:
+        yield getattr(cls, "code", None)
+        yield from _codes(cls.__subclasses__())
+
+
+TYPED_CODES = set(_codes(cli.DOMAIN_ERRORS)) - {None}
+
+_TOKENS = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["#", "x", "1.5", "+1", "1_0", "\t", "\xff"]),
+)
+_LINES = st.lists(_TOKENS, max_size=4).map(" ".join)
+
+
+@st.composite
+def graph_file_bytes(draw):
+    """Mostly well-formed graph files on up to 9 vertices, with junk lines,
+    comments, bad headers, stray vertices and non-ASCII bytes mixed in."""
+    n = draw(st.integers(-1, 9))
+    vertex = st.integers(-1, max(n, 0))
+    body = draw(st.lists(st.tuples(vertex, vertex).map("{0[0]} {0[1]}".format), max_size=12))
+    header = f"{n} {len(body)}" if draw(st.integers(0, 4)) != 3 else draw(_LINES)
+    for junk in draw(st.lists(_LINES, max_size=2)):
+        body.insert(draw(st.integers(0, len(body))), junk)
+    return ("\n".join([header, *body]) + "\n").encode("latin-1")
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_file_bytes())
+def test_count_exact_graph_file_fuzz(data):
+    # In process, a traceback would be an exception escaping main().
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["count-exact", "--graph", path, "--seed", "1"])
+    assert code in (0, 1)
+    if code:
+        assert json.loads(err.getvalue())["error"] in TYPED_CODES
+    else:
+        assert json.loads(out.getvalue())["results"]["n"] >= 0

@@ -1,13 +1,20 @@
+import hashlib
+
 import pytest
 
 import spanlab as sl
+from spanlab import rng as rnglib
 from spanlab.graphs import (
     DuplicateEdgeError,
+    GenerationRetriesExhaustedError,
     GraphError,
     InfeasibleSpecError,
     SelfLoopError,
     VertexOutOfRangeError,
+    _pair_stubs,
 )
+
+from helpers import reference_double_edge_switches
 
 
 def test_triangle_build():
@@ -66,6 +73,86 @@ def test_regular_degree_audit(d, n):
     assert g.is_connected()
 
 
+def oracle_random_regular(d, n, rng, retries=1000):
+    """``random_regular``'s retry loop on the per-element switch oracle.
+
+    Returns the graph (None once the retries run out) and the number of
+    pairings that were switched and tested for connectivity.
+    """
+    built = 0
+    for _ in range(retries):
+        edges = _pair_stubs(d, n, rng)
+        if edges is None:
+            continue
+        built += 1
+        g = sl.build_graph(sorted(reference_double_edge_switches(edges, rng)), n)
+        if g.is_connected():
+            return g, built
+    return None, built
+
+
+# (d, n, seed): m < 2 at (1, 2) and (0, 1); no switch succeeds on K_4 and
+# the triangle; (2, 8) and (2, 12) retry disconnected outcomes at several
+# of these seeds.
+REGULAR_GRID = (
+    [(0, 1, 0), (2, 3, 0), (3, 4, 0)]
+    + [(1, 2, s) for s in range(3)]
+    + [(2, 8, s) for s in range(10)]
+    + [(2, 12, s) for s in range(8)]
+    + [(3, 50, s) for s in range(20)]
+    + [(4, 9, s) for s in range(20)]
+    + [(16, 150, s) for s in (0, 3, 7)]
+)
+
+
+def test_random_regular_matches_oracle():
+    retried = 0
+    for d, n, seed in REGULAR_GRID:
+        fast = sl.stream(seed, rnglib.GENERATE)
+        slow = sl.stream(seed, rnglib.GENERATE)
+        g = sl.random_regular(d, n, fast)
+        want, built = oracle_random_regular(d, n, slow)
+        assert g.edges() == want.edges(), (d, n, seed)
+        assert g.neighbors == want.neighbors and g.m == want.m
+        # Both sides consumed exactly the same draws.
+        assert fast.bit_generator.state == slow.bit_generator.state, (d, n, seed)
+        retried += built > 1
+    assert retried >= 3
+
+
+@pytest.mark.parametrize("d,n", [(1, 4), (1, 10), (0, 2)])
+def test_random_regular_unconnectable_matches_oracle(d, n):
+    # A perfect matching on n >= 4 vertices, or no edges at all, never
+    # connects: every retry runs the switches and fails.
+    fast = sl.stream(5, rnglib.GENERATE)
+    slow = sl.stream(5, rnglib.GENERATE)
+    with pytest.raises(GenerationRetriesExhaustedError):
+        sl.random_regular(d, n, fast, retries=4)
+    want, built = oracle_random_regular(d, n, slow, retries=4)
+    assert want is None and built == 4
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_regular_16_2048_seed0_digest():
+    # Recorded before the switch loop was rewritten; the benchmark's
+    # pipeline-reg16 input depends on every byte of it.
+    g = sl.generate(sl.GraphSpec.parse("regular:16,2048"), seed=0)
+    text = "".join(f"{u} {v}\n" for u, v in g.edges())
+    assert g.m == 16384
+    assert (
+        hashlib.sha256(text.encode("ascii")).hexdigest()
+        == "3b88c96a18fa8fdd9929612ffbde938e303a145cd864ba590fb613c963ebf2f5"
+    )
+
+
+def test_graph_keeps_the_validated_edge_set():
+    g = sl.build_graph([(2, 0), (1, 2), (0, 3)], 4)
+    assert g.m == 3
+    assert g.edges() == [(0, 2), (0, 3), (1, 2)]
+    assert all(g.has_edge(v, u) and g.has_edge(u, v) for u, v in g.edges())
+    assert not g.has_edge(1, 3)
+
+
 def test_generate_deterministic():
     a = sl.generate(sl.GraphSpec.parse("regular:6,30"), seed=99)
     b = sl.generate(sl.GraphSpec.parse("regular:6,30"), seed=99)
@@ -111,9 +198,9 @@ def test_graph_file_roundtrip(tmp_path):
 
 def test_graph_file_comments_and_errors(tmp_path):
     path = tmp_path / "g.txt"
-    path.write_text("# a triangle\n3 3\n0 1\n# middle comment\n1 2\n0 2\n")
+    path.write_bytes(b"  # a triangle\n\t3  3 \r\n\n 0\t1\n   # middle comment\n1 2  \n0 2\n")
     g = sl.read_graph_file(path)
-    assert g.m == 3
+    assert g.n == 3 and g.edges() == [(0, 1), (0, 2), (1, 2)]
     bad = tmp_path / "bad.txt"
     bad.write_text("3 2\n0 1\n")
     with pytest.raises(GraphError):
@@ -132,3 +219,57 @@ def test_spec_parse_and_describe():
     for bad in ("complete", "complete:x", "ring:5", "bipartite:3", "gnp:1,2"):
         with pytest.raises(InfeasibleSpecError):
             sl.GraphSpec.parse(bad)
+
+
+GRAPH_FILE_ERRORS = {
+    # id: (file bytes or None for no file, error class, message template)
+    "missing": (
+        None,
+        GraphError,
+        "cannot read graph file {path}: [Errno 2] No such file or directory: '{path}'",
+    ),
+    "empty": (b"", GraphError, "{path}: empty graph file"),
+    "comments-only": (b"# only a comment\n\n   \n", GraphError, "{path}: empty graph file"),
+    "header-word": (b"oops\n", GraphError, "{path}: header must be 'n m'"),
+    "header-short": (b"3\n", GraphError, "{path}: header must be 'n m'"),
+    "header-long": (b"3 1 0\n0 1\n", GraphError, "{path}: header must be 'n m'"),
+    "too-few-edges": (b"3 2\n0 1\n", GraphError, "{path}: expected 2 edge lines, found 1"),
+    "too-many-edges": (
+        b"3 1\n0 1\n1 2\n",
+        GraphError,
+        "{path}: expected 1 edge lines, found 2",
+    ),
+    "edge-word": (b"3 1\n0 x\n", GraphError, "{path}: bad edge line '0 x'"),
+    "edge-short": (b"3 1\n0\n", GraphError, "{path}: bad edge line '0'"),
+    "edge-long": (b"3 1\n0 1 2\n", GraphError, "{path}: bad edge line '0 1 2'"),
+    "inline-comment": (
+        b"3 1\n  0 1 # inline\n",
+        GraphError,
+        "{path}: bad edge line '0 1 # inline'",
+    ),
+    "vertex-high": (b"3 1\n0 3\n", VertexOutOfRangeError, "edge (0,3) outside 0..2"),
+    "vertex-negative": (b"3 1\n-1 2\n", VertexOutOfRangeError, "edge (-1,2) outside 0..2"),
+    "negative-n": (b"-1 0\n", VertexOutOfRangeError, "vertex count must be non-negative"),
+    "self-loop": (b"3 1\n1 1\n", SelfLoopError, "self-loop at vertex 1"),
+    "duplicate": (b"3 2\n0 1\n0 1\n", DuplicateEdgeError, "duplicate edge (0,1)"),
+    "duplicate-reversed": (b"3 2\n2 1\n1 2\n", DuplicateEdgeError, "duplicate edge (1,2)"),
+    "non-ascii": (
+        b"3 1\n0 \xff\n",
+        GraphError,
+        "cannot read graph file {path}: 'ascii' codec can't decode byte 0xff "
+        "in position 6: ordinal not in range(128)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "data,cls,message", GRAPH_FILE_ERRORS.values(), ids=GRAPH_FILE_ERRORS.keys()
+)
+def test_graph_file_error_table(tmp_path, data, cls, message):
+    path = tmp_path / "g.txt"
+    if data is not None:
+        path.write_bytes(data)
+    with pytest.raises(GraphError) as info:
+        sl.read_graph_file(path)
+    assert type(info.value) is cls
+    assert str(info.value) == message.format(path=path)
