@@ -20,7 +20,7 @@ def main():
     tree = sl.sample_wilson(g, sl.stream(master, 0))
     subset = sl.sample_vertex_subset(g.n, sl.stream(master, 1))
     outcome = sl.select_leaves(g, tree, subset)
-    sizes = sorted(len(p) for p in outcome.selection.parents.values())
+    sizes = sorted(len(p) for p in outcome.selection.values())
     print(f"  tree leaves: {len(tree.leaves())}, subset size: {len(subset)}")
     print(f"  branch: {outcome.branch}, selected leaves: {len(outcome.selection)}")
     if sizes:

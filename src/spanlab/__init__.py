@@ -50,9 +50,7 @@ from .reconfig import (
     HIGH_BRANCH,
     LOW_BRANCH,
     AuditReport,
-    LeafSelection,
     StrategyOutcome,
-    VertexSubset,
     audit_reversibility,
     reconfigure,
     sample_vertex_subset,
@@ -60,11 +58,10 @@ from .reconfig import (
     validate_selection,
 )
 from .canonical import (
-    CanonicalTreeCode,
     canonical_code,
+    code_from_neighbors,
     count_non_isomorphic,
     histogram_key,
-    tree_code,
 )
 from .experiments import (
     BipartiteOneOutInstance,

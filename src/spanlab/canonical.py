@@ -12,17 +12,11 @@ from dataclasses import dataclass
 from .exact import CapExceededError, count_spanning_trees, enumerate_spanning_trees
 from .graphs import Graph, connected
 from .sampling import sample_wilson
-from .trees import NotATreeError, SpanningTree
+from .trees import NotATreeError
 from . import rng as rnglib
 
 
-@dataclass(frozen=True)
-class CanonicalTreeCode:
-    code: bytes
-    n: int
-
-
-def canonical_code(edges, n: int) -> CanonicalTreeCode:
+def canonical_code(edges, n: int) -> bytes:
     """Order-invariant encoding of a tree given as an edge list."""
     edges = list(edges)
     nbrs: list[list[int]] = [[] for _ in range(n)]
@@ -33,12 +27,7 @@ def canonical_code(edges, n: int) -> CanonicalTreeCode:
         nbrs[v].append(u)
     if len(edges) != n - 1 or not connected(nbrs):
         raise NotATreeError(f"{len(edges)} edges on {n} vertices do not form a tree")
-    return CanonicalTreeCode(code_from_neighbors(nbrs), n)
-
-
-def tree_code(tree: SpanningTree) -> CanonicalTreeCode:
-    """Canonical code of a spanning tree (no revalidation)."""
-    return CanonicalTreeCode(code_from_neighbors(tree.neighbors), tree.n)
+    return code_from_neighbors(nbrs)
 
 
 def code_from_neighbors(nbrs) -> bytes:
@@ -143,7 +132,8 @@ def count_non_isomorphic(
             raise CapExceededError(
                 f"{total} spanning trees exceed the exact-mode budget {budget}"
             )
-        codes = {tree_code(t).code for t in enumerate_spanning_trees(g, budget)}
+        trees = enumerate_spanning_trees(g, budget)
+        codes = {code_from_neighbors(t.neighbors) for t in trees}
         return NonIsoCountReport(
             mode="exact",
             distinct=len(codes),
@@ -157,7 +147,7 @@ def count_non_isomorphic(
         seen: dict[bytes, int] = {}
         for t in range(budget):
             tree = sample_wilson(g, rnglib.stream(master, rnglib.TREE, t))
-            code = tree_code(tree).code
+            code = code_from_neighbors(tree.neighbors)
             seen[code] = seen.get(code, 0) + 1
         singletons = sum(1 for c in seen.values() if c == 1)
         unseen = singletons / budget if budget else 1.0

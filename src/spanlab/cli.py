@@ -112,14 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"spanlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, graph=True, trials=positive_int):
-        if graph:
-            p.add_argument("--graph", metavar="FILE", help="graph text file (n m header)")
-            p.add_argument(
-                "--gen",
-                metavar="SPEC",
-                help="generated family: complete:n | bipartite:a,b | regular:d,n | gnp:n,p,d",
-            )
+    def common(p, trials=positive_int):
+        p.add_argument("--graph", metavar="FILE", help="graph text file (n m header)")
+        p.add_argument(
+            "--gen",
+            metavar="SPEC",
+            help="generated family: complete:n | bipartite:a,b | regular:d,n | gnp:n,p,d",
+        )
         p.add_argument("--seed", type=u64, default=None, help="64-bit master seed")
         p.add_argument("--trials", type=trials, default=1000)
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -171,15 +170,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_graph(args, parser):
-    graph_file = getattr(args, "graph", None)
-    gen = getattr(args, "gen", None)
-    if graph_file and gen:
+    if args.graph and args.gen:
         parser.error("give either --graph or --gen, not both")
-    if graph_file:
-        return read_graph_file(graph_file), f"file:{graph_file}"
-    if gen:
+    if args.graph:
+        return read_graph_file(args.graph), f"file:{args.graph}"
+    if args.gen:
         try:
-            spec = GraphSpec.parse(gen)
+            spec = GraphSpec.parse(args.gen)
         except GraphError as exc:
             parser.error(str(exc))
         return generate(spec, rnglib.resolve_seed(args.seed)), spec.describe()
@@ -265,7 +262,7 @@ def _run_reconfigure(args, parser, seed):
             g, tree, subset, trials=1, rng=rnglib.stream(seed, rnglib.RECONF, t)
         )
         outcome = audit.outcome
-        sizes = sorted(len(p) for p in outcome.selection.parents.values())
+        sizes = sorted(len(p) for p in outcome.selection.values())
         row = {
             "trial": t,
             "branch": outcome.branch,
@@ -275,10 +272,7 @@ def _run_reconfigure(args, parser, seed):
             "violations": len(audit.violations),
         }
         if args.dump_selections:
-            row["selection"] = {
-                str(v): list(outcome.selection.parents[v])
-                for v in outcome.selection.leaves
-            }
+            row["selection"] = {str(v): list(c) for v, c in outcome.selection.items()}
         violations_total += len(audit.violations)
         trial_rows.append(row)
     payload = {
@@ -369,6 +363,8 @@ def _run_experiment(args, parser, seed):
                 "collisionSlope": baseline.collision_slope,
             },
         }
+        if None in (scaling.code_slope, scaling.histogram_slope, baseline.collision_slope):
+            payload["nullSlopeReason"] = "some size saw no colliding pair; log(0) has no fit"
         rows = [("n", "codeCollision", "codeMaxMassBound", "histCollision")]
         rows += [
             (r.n, r.codes.collision, r.codes.max_mass_bound, r.histograms.collision)
@@ -403,7 +399,7 @@ def _run_experiment(args, parser, seed):
         base_tree = sample_wilson(g, rnglib.stream(seed, rnglib.TREE, 0))
         subset = sample_vertex_subset(g.n, rnglib.stream(seed, rnglib.SUBSET, 0))
         outcome = select_leaves(g, base_tree, subset)
-        if not outcome.selection.leaves:
+        if not outcome.selection:
             raise EmptySelectionError(
                 "trial 0 selected no leaves on this graph; try another seed or graph"
             )
@@ -500,7 +496,7 @@ def _emit(args, payload, rows, seed, started):
             "timestamps": {"started": started, "finished": finished},
             "results": payload,
         }
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -25,7 +25,7 @@ from . import rng as rnglib
 from .canonical import code_from_neighbors, histogram_key
 from .exact import CapExceededError, enumerate_spanning_trees
 from .graphs import Graph, complete_bipartite
-from .reconfig import sample_vertex_subset, select_leaves, reconfigure, LeafSelection
+from .reconfig import sample_vertex_subset, select_leaves, reconfigure
 from .sampling import SAMPLERS, sample_wilson
 from .stats import (
     bootstrap_collisions,
@@ -89,7 +89,7 @@ class BipartiteOneOutInstance:
 
 
 def instance_from_selection(
-    g: Graph, tree: SpanningTree, selection: LeafSelection
+    g: Graph, tree: SpanningTree, selection: dict
 ) -> BipartiteOneOutInstance:
     """The model instance induced by a leaf selection.
 
@@ -97,18 +97,15 @@ def instance_from_selection(
     everything else, offset by its degree in the tree with the selected
     leaves removed.
     """
-    chosen = set(selection.leaves)
-    b_side = tuple(v for v in range(g.n) if v not in chosen)
-    offsets = {}
-    for v in selection.leaves:
-        offsets[v] = 0
+    b_side = tuple(v for v in range(g.n) if v not in selection)
+    offsets = dict.fromkeys(selection, 0)
     for u in b_side:
-        offsets[u] = sum(1 for w in tree.neighbors[u] if w not in chosen)
+        offsets[u] = sum(1 for w in tree.neighbors[u] if w not in selection)
     return BipartiteOneOutInstance(
-        a_vertices=tuple(selection.leaves),
+        a_vertices=tuple(selection),
         b_vertices=b_side,
-        choices=dict(selection.parents),
-        offsets=dict(offsets),
+        choices=dict(selection),
+        offsets=offsets,
     )
 
 
@@ -219,7 +216,6 @@ class CollisionReport:
     collision_ci95: tuple[float, float]
     collision_ci99: tuple[float, float]
     max_mass_bound: float  # sqrt of the collision estimate
-    max_mass_ci95: tuple[float, float]
     max_class_count: int
     ci_method: str = "bootstrap percentile (1000 multinomial resamples)"
     bootstrap: np.ndarray | None = field(default=None, repr=False)
@@ -239,7 +235,6 @@ def _collision_report(counts: dict, trials: int, boot_rng) -> CollisionReport:
         collision_ci95=ci95,
         collision_ci99=ci99,
         max_mass_bound=math.sqrt(rate),
-        max_mass_ci95=(math.sqrt(max(ci95[0], 0.0)), math.sqrt(ci95[1])),
         max_class_count=max(values) if values else 0,
         bootstrap=boots,
     )
@@ -384,20 +379,20 @@ class ScalingReport:
     sizes: tuple[int, ...]
     trials: int
     rows: list[ScalingRow]
-    code_slope: float
+    code_slope: float | None  # None when some size saw no collision
     code_slope_ci95: tuple[float, float]
-    histogram_slope: float
-
-    def code_bounds(self) -> list[float]:
-        return [row.codes.max_mass_bound for row in self.rows]
+    histogram_slope: float | None
 
 
 def check_sizes(d: int, sizes) -> None:
-    """Raise ValueError unless every size exceeds 2d and no size decreases."""
+    """Raise ValueError unless there are at least two sizes, every size
+    exceeds 2d, and the sizes strictly increase (a slope fit needs it)."""
+    if len(sizes) < 2:
+        raise ValueError("a slope fit needs at least two sizes")
     if any(n <= 2 * d for n in sizes):
         raise ValueError("every size must exceed 2d")
-    if list(sizes) != sorted(sizes):
-        raise ValueError("sizes must be increasing")
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be increasing, with no size repeated")
 
 
 def scaling_experiment(
@@ -426,11 +421,9 @@ def scaling_experiment(
     hist_slope, _ = fit_loglog_slope(sizes, [r.histograms.max_mass_bound for r in rows])
     boots = np.vstack([r.codes.bootstrap for r in rows])
     floor = 1.0 / (trials * (trials - 1))
-    slopes = np.empty(boots.shape[1])
     lx = np.log(np.asarray(sizes, dtype=float))
-    for b in range(boots.shape[1]):
-        ly = 0.5 * np.log(np.maximum(boots[:, b], floor))
-        slopes[b] = np.polyfit(lx, ly, 1)[0]
+    # One fit for every bootstrap column: polyfit takes a 2-D y.
+    slopes = np.polyfit(lx, 0.5 * np.log(np.maximum(boots, floor)), 1)[0]
     return ScalingReport(
         seed=master,
         d=d,
@@ -459,7 +452,7 @@ class BaselineReport:
     trials: int
     rows: list[BaselineRow]
     max_frequency_slope: float
-    collision_slope: float
+    collision_slope: float | None  # None when some size saw no collision
 
 
 def multinomial_baseline(
@@ -535,7 +528,6 @@ def uniformity_experiment(
     g: Graph,
     trials: int,
     seed: int | None = None,
-    samplers=("wilson", "ab", "reject"),
     include_pipeline: bool = True,
     cap: int = 75,
 ) -> UniformityReport:
@@ -549,8 +541,7 @@ def uniformity_experiment(
     trees = enumerate_spanning_trees(g, cap)
     support = len(trees)
     rows = []
-    for idx, name in enumerate(samplers):
-        draw = SAMPLERS[name]
+    for idx, (name, draw) in enumerate(SAMPLERS.items()):
         rng = rnglib.stream(master, rnglib.TREE, idx)
         counts: dict[tuple, int] = {}
         for _ in range(trials):

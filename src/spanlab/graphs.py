@@ -68,9 +68,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return ((u, v) if u < v else (v, u)) in self._edge_set
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     def min_degree(self) -> int:
         return min(self.degrees) if self.n else 0
 
@@ -295,10 +292,10 @@ def gnp_min_degree(n: int, p: float, d: int, rng, retries: int = 1000) -> Graph:
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """A named graph family plus parameters, or a file reference.
+    """A named graph family plus parameters.
 
     Families: ``complete:n``, ``bipartite:a,b``, ``regular:d,n``,
-    ``gnp:n,p,d`` (min-degree-conditioned G(n,p)), ``file:path``.
+    ``gnp:n,p,d`` (min-degree-conditioned G(n,p)).
     """
 
     family: str
@@ -334,17 +331,13 @@ class GraphSpec:
                 if n < 1 or not 0.0 <= p <= 1.0 or d < 0:
                     raise InfeasibleSpecError(f"bad gnp parameters {rest!r}")
                 return cls("gnp", (n, p, d))
-            if family == "file":
-                if not rest:
-                    raise ValueError
-                return cls("file", (rest,))
         except InfeasibleSpecError:
             raise
         except ValueError:
             pass
         raise InfeasibleSpecError(
             f"cannot parse graph spec {text!r}; expected "
-            "complete:n | bipartite:a,b | regular:d,n | gnp:n,p,d | file:path"
+            "complete:n | bipartite:a,b | regular:d,n | gnp:n,p,d"
         )
 
     def describe(self) -> str:
@@ -364,8 +357,6 @@ def generate(spec: GraphSpec, seed: int) -> Graph:
         return complete_graph(*spec.params)
     if spec.family == "bipartite":
         return complete_bipartite(*spec.params)
-    if spec.family == "file":
-        return read_graph_file(spec.params[0])
     rng = rnglib.stream(seed, rnglib.GENERATE)
     if spec.family == "regular":
         d, n = spec.params
@@ -395,6 +386,11 @@ def read_graph_file(path) -> Graph:
         raise GraphError(f"{path}: header must be 'n m'") from None
     if len(lines) - 1 != m:
         raise GraphError(f"{path}: expected {m} edge lines, found {len(lines) - 1}")
+    if n > 2 * m + 1:
+        # Refused before any per-vertex allocation: a header alone is cheap.
+        raise DisconnectedGraphError(
+            f"{path}: {n} vertices but only {m} edges, so at least two are isolated"
+        )
     edges = []
     append = edges.append
     try:

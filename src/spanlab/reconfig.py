@@ -28,52 +28,29 @@ HIGH_BRANCH = "high-degree"
 SELECTION_DENOMINATOR = 256
 
 
-@dataclass(frozen=True)
-class VertexSubset:
-    """A subset of vertex ids."""
-
-    vertices: frozenset[int]
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.vertices
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
-def sample_vertex_subset(n: int, rng) -> VertexSubset:
+def sample_vertex_subset(n: int, rng) -> frozenset[int]:
     """Include each vertex independently with one fair bit."""
     mask = rng.random(n) < 0.5
-    return VertexSubset(frozenset(int(v) for v in mask.nonzero()[0]))
+    return frozenset(int(v) for v in mask.nonzero()[0])
 
 
 @dataclass(frozen=True)
-class LeafSelection:
-    """Reconfigurable leaves plus their candidate parent sets.
+class StrategyOutcome:
+    """A branch tag plus its selection: each selected leaf, in selection
+    order, maps to its candidate parents.
 
     Invariants: every selected vertex is a leaf of the tree; its current
     parent is among its candidates; candidates never include selected
     leaves.
     """
 
-    leaves: tuple[int, ...]
-    parents: dict[int, tuple[int, ...]]
-
-    def __len__(self) -> int:
-        return len(self.leaves)
-
-
-@dataclass(frozen=True)
-class StrategyOutcome:
     branch: str
-    selection: LeafSelection
+    selection: dict[int, tuple[int, ...]]
     low_count: int
     high_count: int | None  # None when the low branch was taken
 
 
-def may_parent(
-    g: Graph, tree: SpanningTree, subset: VertexSubset, branch: str
-) -> list[bool]:
+def may_parent(g: Graph, tree: SpanningTree, subset: frozenset, branch: str) -> list[bool]:
     """Per vertex, whether it may be a parent of a leaf selected on ``branch``.
 
     ``u`` may be a parent iff it lies outside the subset or is safe for
@@ -82,25 +59,24 @@ def may_parent(
     at least two tree neighbours outside the subset, so it stays an inner
     vertex whatever the selected leaves do.
     """
-    members = subset.vertices
     ok = [True] * g.n
     if branch == LOW_BRANCH:
         n = g.n
         degs = g.degrees
-        for u in members:
+        for u in subset:
             ok[u] = degs[u] ** 3 > n
     else:
         tree_nbrs = tree.neighbors
-        for u in members:
+        for u in subset:
             outside = 0
             for w in tree_nbrs[u]:
-                if w not in members:
+                if w not in subset:
                     outside += 1
             ok[u] = outside >= 2
     return ok
 
 
-def select_leaves(g: Graph, tree: SpanningTree, subset: VertexSubset) -> StrategyOutcome:
+def select_leaves(g: Graph, tree: SpanningTree, subset: frozenset) -> StrategyOutcome:
     """Pick the reconfigurable leaves of ``tree`` for the given subset.
 
     A leaf in the subset is selected when its current parent may stay a
@@ -112,11 +88,10 @@ def select_leaves(g: Graph, tree: SpanningTree, subset: VertexSubset) -> Strateg
     """
     n = g.n
     degs = g.degrees
-    members = subset.vertices
     low_leaves: list[int] = []
     high_leaves: list[int] = []
     for v in tree.leaves():
-        if v in members:
+        if v in subset:
             (high_leaves if degs[v] ** 3 > n else low_leaves).append(v)
 
     low = _select(g, tree, low_leaves, may_parent(g, tree, subset, LOW_BRANCH), 2)
@@ -127,49 +102,39 @@ def select_leaves(g: Graph, tree: SpanningTree, subset: VertexSubset) -> Strateg
     return StrategyOutcome(HIGH_BRANCH, high, len(low), len(high))
 
 
-def _select(g: Graph, tree: SpanningTree, leaves, ok, share: int) -> LeafSelection:
+def _select(g: Graph, tree: SpanningTree, leaves, ok, share: int) -> dict:
     """The leaves whose parent is ``ok`` and that keep at least 1/share of
-    their neighbours ``ok``, with those neighbours as candidates."""
+    their neighbours ``ok``, each mapped to those neighbours."""
     gn = g.neighbors
     degs = g.degrees
     tree_nbrs = tree.neighbors
-    chosen: list[int] = []
-    parents: dict[int, tuple[int, ...]] = {}
+    selection: dict[int, tuple[int, ...]] = {}
     for v in leaves:
         if not ok[tree_nbrs[v][0]]:
             continue
         cands = tuple(u for u in gn[v] if ok[u])
         if share * len(cands) >= degs[v]:
-            chosen.append(v)
-            parents[v] = cands
-    return LeafSelection(tuple(chosen), parents)
+            selection[v] = cands
+    return selection
 
 
-def validate_selection(g: Graph, tree: SpanningTree, selection: LeafSelection) -> None:
+def validate_selection(g: Graph, tree: SpanningTree, selection: dict) -> None:
     """Raise ValueError unless the selection is valid for (g, tree)."""
-    chosen = set(selection.leaves)
-    if len(chosen) != len(selection.leaves):
-        raise ValueError("selection lists a leaf twice")
-    for v in selection.leaves:
+    for v, cands in selection.items():
         if tree.degrees[v] != 1:
             raise ValueError(f"vertex {v} is not a leaf of the tree")
-        cands = selection.parents.get(v, ())
         if tree.neighbors[v][0] not in cands:
             raise ValueError(f"current parent of {v} missing from its candidates")
         nbrs = set(g.neighbors[v])
         for u in cands:
             if u not in nbrs:
                 raise ValueError(f"candidate {u} is not a graph neighbour of {v}")
-            if u in chosen:
+            if u in selection:
                 raise ValueError(f"candidate {u} of {v} is itself selected")
 
 
 def reconfigure(
-    g: Graph,
-    tree: SpanningTree,
-    selection: LeafSelection,
-    rng,
-    validate: bool = True,
+    g: Graph, tree: SpanningTree, selection: dict, rng, validate: bool = True
 ) -> SpanningTree:
     """Detach each selected leaf and reattach it to a uniform candidate.
 
@@ -184,20 +149,16 @@ def reconfigure(
         validate_selection(g, tree, selection)
     nbrs = tree.neighbors.copy()
     degs = tree.degrees.copy()
-    chosen = selection.leaves
-    if not chosen:
+    if not selection:
         return SpanningTree(g, nbrs, degs)
-    buf = rng.random(len(chosen)).tolist()
-    moving = set(chosen)
-    fresh = {nbrs[v][0] for v in chosen}  # old parents: drop the moving leaves
+    buf = rng.random(len(selection)).tolist()
+    fresh = {nbrs[v][0] for v in selection}  # old parents: drop the moving leaves
     for p in fresh:
-        row = [w for w in nbrs[p] if w not in moving]
+        row = [w for w in nbrs[p] if w not in selection]
         nbrs[p] = row
         degs[p] = len(row)
-    parents = selection.parents
-    for i, v in enumerate(chosen):
-        cands = parents[v]
-        p = cands[int(buf[i] * len(cands))]
+    for x, (v, cands) in zip(buf, selection.items()):
+        p = cands[int(x * len(cands))]
         nbrs[v] = [p]
         if p in fresh:
             nbrs[p].append(v)
@@ -222,7 +183,7 @@ class AuditReport:
 def audit_reversibility(
     g: Graph,
     tree: SpanningTree,
-    subset: VertexSubset,
+    subset: frozenset,
     trials: int,
     rng,
     strategy=select_leaves,
@@ -248,17 +209,17 @@ def audit_reversibility(
 def _outcome_diff(a: StrategyOutcome, b: StrategyOutcome) -> dict | None:
     if a.branch != b.branch:
         return {"field": "branch", "before": a.branch, "after": b.branch}
-    if set(a.selection.leaves) != set(b.selection.leaves):
+    if a.selection.keys() != b.selection.keys():
         return {
             "field": "leaves",
-            "before": sorted(a.selection.leaves),
-            "after": sorted(b.selection.leaves),
+            "before": sorted(a.selection),
+            "after": sorted(b.selection),
         }
-    for v in a.selection.leaves:
-        if a.selection.parents[v] != b.selection.parents[v]:
+    for v, cands in a.selection.items():
+        if cands != b.selection[v]:
             return {
                 "field": f"parents[{v}]",
-                "before": list(a.selection.parents[v]),
-                "after": list(b.selection.parents[v]),
+                "before": list(cands),
+                "after": list(b.selection[v]),
             }
     return None

@@ -196,7 +196,6 @@ def one_out_leaf_probability(g: Graph, v: int) -> Fraction:
 class LeafStatsReport:
     """Exact one-out leaf probabilities plus sampled tree leaf counts."""
 
-    graph_n: int
     trials: int
     sampler: str
     leaf_probabilities: list[Fraction]
@@ -227,7 +226,6 @@ def leaf_stats(g: Graph, trials: int, sampler: str, rng) -> LeafStatsReport:
         low = min(low, k)
         high = max(high, k)
     return LeafStatsReport(
-        graph_n=g.n,
         trials=trials,
         sampler=sampler,
         leaf_probabilities=probs,

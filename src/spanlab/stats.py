@@ -15,6 +15,9 @@ def chi_square_uniform(observed, support_size: int) -> tuple[float, float]:
     if len(counts) > support_size:
         raise ValueError("observed more distinct outcomes than the support size")
     counts = counts + [0] * (support_size - len(counts))
+    if support_size == 1:
+        # No degrees of freedom: scipy's p-value would be NaN.
+        return 0.0, 1.0
     # scipy.stats takes about a second to import; only this test needs it.
     from scipy import stats as sps
 
@@ -53,8 +56,11 @@ def percentile_interval(values: np.ndarray, level: float) -> tuple[float, float]
     return float(a), float(b)
 
 
-def fit_loglog_slope(xs, ys) -> tuple[float, float]:
-    """(slope, intercept) of log(y) against log(x)."""
+def fit_loglog_slope(xs, ys) -> tuple[float, float] | tuple[None, None]:
+    """(slope, intercept) of log(y) against log(x), or (None, None) when
+    some y is 0 and the fit would take log(0)."""
+    if min(ys) <= 0:
+        return None, None
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     slope, intercept = np.polyfit(lx, ly, 1)

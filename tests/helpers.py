@@ -6,14 +6,18 @@ elimination (the library counts by modular elimination), isomorphism is
 checked by trying vertex permutations, canonical codes are built by
 rooting the whole tree at each center in turn (the library builds them
 in one leaf-stripping pass), edge switches read the drawn numpy arrays
-one element per attempt (the library converts them block by block), and
-random trees come from uniform parent-sequence decoding.
+one element per attempt (the library converts them block by block),
+bootstrap slopes are fitted one column at a time (the library fits every
+column in one call), and random trees come from uniform parent-sequence
+decoding.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import combinations, permutations
+
+import numpy as np
 
 from spanlab import Graph, SpanningTree, bareiss_determinant, build_graph
 
@@ -122,16 +126,25 @@ def reference_double_edge_switches(edges: set, rng) -> set:
     return edges
 
 
+def reference_bootstrap_slopes(sizes, boots, floor: float) -> np.ndarray:
+    """Log-log slope of sqrt(collision) against size, one polyfit per
+    bootstrap column of ``boots`` (sizes x resamples), rates floored."""
+    lx = np.log(np.asarray(sizes, dtype=float))
+    slopes = np.empty(boots.shape[1])
+    for b in range(boots.shape[1]):
+        ly = 0.5 * np.log(np.maximum(boots[:, b], floor))
+        slopes[b] = np.polyfit(lx, ly, 1)[0]
+    return slopes
+
+
 def reference_reconfigure(g: Graph, tree: SpanningTree, selection, rng) -> SpanningTree:
     """Leaf reconfiguration rebuilt from scratch: every unselected tree edge
     is kept, and each selected leaf hangs off a candidate drawn from the same
     uniform buffer as the library's patched version."""
-    chosen = set(selection.leaves)
-    edges = [(u, w) for u, w in tree.edges() if u not in chosen and w not in chosen]
-    if selection.leaves:
-        buf = rng.random(len(selection.leaves)).tolist()
-        for x, v in zip(buf, selection.leaves):
-            cands = selection.parents[v]
+    edges = [(u, w) for u, w in tree.edges() if u not in selection and w not in selection]
+    if selection:
+        buf = rng.random(len(selection)).tolist()
+        for x, (v, cands) in zip(buf, selection.items()):
             edges.append((v, cands[int(x * len(cands))]))
     return SpanningTree.from_edges(g, edges, validate=False)
 

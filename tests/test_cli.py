@@ -327,13 +327,45 @@ def test_lemma35_empty_selection_is_typed_domain_error(capsys):
 
 @pytest.mark.parametrize(
     "sizes,message",
-    [("5,10", "every size must exceed 2d"), ("100,50", "sizes must be increasing")],
+    [
+        ("5,10", "every size must exceed 2d"),
+        ("100,50", "sizes must be increasing"),
+        ("7,7", "sizes must be increasing"),
+        ("50", "at least two sizes"),
+    ],
 )
 def test_conjecture_bad_sizes_are_usage_errors(capsys, sizes, message):
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "conjecture", "--d", "3", "--sizes", sizes, "--trials", "2"])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_conjecture_without_collisions_writes_null_slopes(capsys):
+    # Two trials per size rarely collide: a slope fit over a zero
+    # collision rate would take log(0), so it is reported as null.
+    code = main(["experiment", "conjecture", "--sizes", "50,100", "--trials", "2", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    results = json.loads(captured.out, parse_constant=_reject_constant)["results"]
+    nulls = [results["codeSlope"], results["histogramSlope"], results["baseline"]["collisionSlope"]]
+    assert None in nulls
+    assert isinstance(results["nullSlopeReason"], str)
+
+
+def test_one_tree_uniformity_is_strict_json(capsys):
+    # K_2 has a single spanning tree: a chi-square test with no degrees
+    # of freedom, whose scipy p-value is NaN.
+    code = main(["experiment", "uniformity", "--gen", "complete:2", "--trials", "5"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    rows = json.loads(captured.out, parse_constant=_reject_constant)["results"]["rows"]
+    assert all(row["pvalue"] == 1.0 for row in rows)
 
 
 def test_value_error_in_handler_is_not_a_domain_error(monkeypatch, capsys):

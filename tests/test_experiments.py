@@ -7,6 +7,9 @@ import pytest
 import spanlab as sl
 from spanlab import BipartiteOneOutInstance, CapExceededError
 from spanlab.experiments import _vector_from_picks, sample_choices
+from spanlab.stats import percentile_interval
+
+from helpers import reference_bootstrap_slopes
 
 
 def make_instance(a_degrees, offsets=None):
@@ -42,7 +45,7 @@ def test_instance_from_selection():
     g = sl.complete_bipartite(3, 100)
     edges = [(0, u) for u in range(3, 103)] + [(1, 3), (2, 4)]
     t = sl.SpanningTree.from_edges(g, edges)
-    r = sl.VertexSubset(frozenset({5, 6, 7, 1}))
+    r = frozenset({5, 6, 7, 1})
     outcome = sl.select_leaves(g, t, r)
     inst = sl.instance_from_selection(g, t, outcome.selection)
     assert inst.a_vertices == (5, 6, 7)
@@ -220,6 +223,17 @@ def test_scaling_experiment_smoke():
         sl.scaling_experiment(3, (30, 6), trials=10, seed=1)
     with pytest.raises(ValueError):
         sl.scaling_experiment(3, (60, 30), trials=10, seed=1)
+
+
+def test_scaling_slope_ci_matches_per_column_fits():
+    # 4 trials per size: many bootstrap resamples see no collision and
+    # sit on the floor, which the one-call fit must treat like the loop.
+    for seed in range(3):
+        report = sl.scaling_experiment(3, (50, 100, 200), trials=4, seed=seed)
+        boots = np.vstack([r.codes.bootstrap for r in report.rows])
+        assert (boots == 0).any()
+        slopes = reference_bootstrap_slopes(report.sizes, boots, 1.0 / (4 * 3))
+        assert report.code_slope_ci95 == percentile_interval(slopes, 0.95)
 
 
 def test_multinomial_baseline_slope_matches_theory_loosely():

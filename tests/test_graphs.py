@@ -5,6 +5,7 @@ import pytest
 import spanlab as sl
 from spanlab import rng as rnglib
 from spanlab.graphs import (
+    DisconnectedGraphError,
     DuplicateEdgeError,
     GenerationRetriesExhaustedError,
     GraphError,
@@ -216,7 +217,7 @@ def test_spec_parse_and_describe():
     assert spec.family == "bipartite" and spec.params == (3, 40)
     assert spec.describe() == "bipartite:3,40"
     assert sl.GraphSpec.parse("gnp:300,0.05,8").params == (300, 0.05, 8)
-    for bad in ("complete", "complete:x", "ring:5", "bipartite:3", "gnp:1,2"):
+    for bad in ("complete", "complete:x", "ring:5", "bipartite:3", "gnp:1,2", "file:x"):
         with pytest.raises(InfeasibleSpecError):
             sl.GraphSpec.parse(bad)
 
@@ -253,6 +254,18 @@ GRAPH_FILE_ERRORS = {
     "self-loop": (b"3 1\n1 1\n", SelfLoopError, "self-loop at vertex 1"),
     "duplicate": (b"3 2\n0 1\n0 1\n", DuplicateEdgeError, "duplicate edge (0,1)"),
     "duplicate-reversed": (b"3 2\n2 1\n1 2\n", DuplicateEdgeError, "duplicate edge (1,2)"),
+    # n > 2m + 1 leaves at least two isolated vertices; refused before any
+    # per-vertex allocation.
+    "isolated-pair": (
+        b"2 0\n",
+        DisconnectedGraphError,
+        "{path}: 2 vertices but only 0 edges, so at least two are isolated",
+    ),
+    "huge-header": (
+        b"2000000 0\n",
+        DisconnectedGraphError,
+        "{path}: 2000000 vertices but only 0 edges, so at least two are isolated",
+    ),
     "non-ascii": (
         b"3 1\n0 \xff\n",
         GraphError,
@@ -273,3 +286,11 @@ def test_graph_file_error_table(tmp_path, data, cls, message):
         sl.read_graph_file(path)
     assert type(info.value) is cls
     assert str(info.value) == message.format(path=path)
+
+
+def test_graph_file_vertex_bound_is_inclusive(tmp_path):
+    # n = 2m + 1 is still read: one isolated vertex beside one edge.
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"3 1\n0 1\n")
+    g = sl.read_graph_file(path)
+    assert g.n == 3 and g.edges() == [(0, 1)]

@@ -5,21 +5,14 @@ import numpy as np
 import pytest
 
 import spanlab as sl
-from spanlab import (
-    HIGH_BRANCH,
-    LOW_BRANCH,
-    LeafSelection,
-    SpanningTree,
-    StrategyOutcome,
-    VertexSubset,
-)
+from spanlab import HIGH_BRANCH, LOW_BRANCH, SpanningTree, StrategyOutcome
 from spanlab.reconfig import may_parent
 
 from helpers import random_connected_graph, reference_reconfigure
 
 
-def subset(*vertices) -> VertexSubset:
-    return VertexSubset(frozenset(vertices))
+def subset(*vertices) -> frozenset[int]:
+    return frozenset(vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +92,7 @@ def test_low_branch_boundary_is_inclusive():
     t = SpanningTree.from_edges(g, g.edges())
     outcome = sl.select_leaves(g, t, subset(0))
     assert outcome.branch == LOW_BRANCH
-    assert outcome.selection.leaves == (0,)
+    assert list(outcome.selection) == [0]
     # One vertex more and the same selection falls short: high branch.
     g2 = sl.path_graph(257)
     t2 = SpanningTree.from_edges(g2, g2.edges())
@@ -121,20 +114,19 @@ def test_low_branch_hand_execution_on_k3_100():
     # vertex 1 is inside r but 100^3 > 103 keeps it; so all three
     # neighbours stay, 2*3 >= 3, and the parent 0 is among them.
     assert outcome.branch == LOW_BRANCH
-    assert outcome.selection.leaves == (5, 6, 7)
-    assert all(outcome.selection.parents[v] == (0, 1, 2) for v in (5, 6, 7))
+    assert list(outcome.selection) == [5, 6, 7]
+    assert all(outcome.selection[v] == (0, 1, 2) for v in (5, 6, 7))
 
 
 def _checked_selection(g, t, r):
     outcome = sl.select_leaves(g, t, r)
     sl.validate_selection(g, t, outcome.selection)
-    chosen = set(outcome.selection.leaves)
-    assert chosen <= set(t.leaves()) and chosen <= r.vertices
-    for v in outcome.selection.leaves:
-        cands = set(outcome.selection.parents[v])
+    chosen = set(outcome.selection)
+    assert chosen <= set(t.leaves()) and chosen <= r
+    for v, cands in outcome.selection.items():
         assert t.parent_of(v) in cands
-        assert cands <= set(g.neighbors[v])
-        assert not cands & chosen
+        assert set(cands) <= set(g.neighbors[v])
+        assert not chosen.intersection(cands)
     return outcome
 
 
@@ -169,7 +161,7 @@ def test_selection_invariants_on_random_instances():
 def test_reconfigure_empty_selection_is_identity():
     g = sl.complete_graph(5)
     t = sl.sample_wilson(g, sl.stream(1))
-    out = sl.reconfigure(g, t, LeafSelection((), {}), sl.stream(2))
+    out = sl.reconfigure(g, t, {}, sl.stream(2))
     assert out is not t
     assert out.edge_key() == t.edge_key()
 
@@ -177,7 +169,7 @@ def test_reconfigure_empty_selection_is_identity():
 def test_reconfigure_forced_choice_is_identity():
     g = sl.complete_graph(4)
     t = SpanningTree.from_edges(g, [(0, 1), (1, 2), (2, 3)])
-    sel = LeafSelection((0,), {0: (1,)})
+    sel = {0: (1,)}
     out = sl.reconfigure(g, t, sel, sl.stream(3))
     assert out.edge_key() == t.edge_key()
 
@@ -185,7 +177,7 @@ def test_reconfigure_forced_choice_is_identity():
 def test_reconfigure_star_recenters_nothing():
     g = sl.build_graph([(0, 1), (0, 2), (0, 3), (0, 4)], 5)  # star, center 0
     t = SpanningTree.from_edges(g, g.edges())
-    sel = LeafSelection((1, 2), {1: (0,), 2: (0,)})
+    sel = {1: (0,), 2: (0,)}
     out = sl.reconfigure(g, t, sel, sl.stream(4))
     assert out.edge_key() == t.edge_key()
 
@@ -205,7 +197,7 @@ def test_reconfigure_never_mutates_input():
 def test_reconfigure_choices_are_uniform():
     g = sl.complete_graph(4)
     t = SpanningTree.from_edges(g, [(0, 1), (1, 2), (2, 3)])
-    sel = LeafSelection((0,), {0: (1, 2)})
+    sel = {0: (1, 2)}
     rng = sl.stream(9)
     counts = Counter(
         sl.reconfigure(g, t, sel, rng, validate=False).parent_of(0)
@@ -215,7 +207,7 @@ def test_reconfigure_choices_are_uniform():
     assert abs(counts[1] - 10000) < 400  # ~5 sigma for a fair coin
 
 
-def _random_selection(g, t, rng) -> LeafSelection:
+def _random_selection(g, t, rng) -> dict[int, tuple[int, ...]]:
     """Random leaves of t, each with a random non-empty set of unselected
     graph neighbours that includes its current parent."""
     leaves = [v for v in t.leaves() if rng.random() < 0.5]
@@ -225,7 +217,7 @@ def _random_selection(g, t, rng) -> LeafSelection:
         others = [u for u in g.neighbors[v] if u not in chosen and u != t.parent_of(v)]
         keep = [u for u in others if rng.random() < 0.5]
         parents[v] = tuple(sorted([t.parent_of(v), *keep]))
-    return LeafSelection(tuple(leaves), parents)
+    return parents
 
 
 def test_reconfigure_matches_rebuild_from_scratch():
@@ -256,12 +248,12 @@ def test_validate_selection_rejects_bad_input():
     g = sl.complete_graph(4)
     t = SpanningTree.from_edges(g, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(ValueError):
-        sl.validate_selection(g, t, LeafSelection((1,), {1: (0,)}))  # not a leaf
+        sl.validate_selection(g, t, {1: (0,)})  # not a leaf
     with pytest.raises(ValueError):
-        sl.validate_selection(g, t, LeafSelection((0,), {0: (2,)}))  # parent missing
+        sl.validate_selection(g, t, {0: (2,)})  # parent missing
     with pytest.raises(ValueError):
         # 3 is selected, so it cannot appear as a candidate of 0.
-        sl.validate_selection(g, t, LeafSelection((0, 3), {0: (1, 3), 3: (2,)}))
+        sl.validate_selection(g, t, {0: (1, 3), 3: (2,)})
 
 
 # ---------------------------------------------------------------------------
@@ -300,26 +292,22 @@ def _corrupted_select(g, tree, sub):
     """
     n = g.n
     degs = g.degrees
-    members = sub.vertices
-    low, low_parents = [], {}
-    high, high_parents = [], {}
+    low, high = {}, {}
     for v in tree.leaves():
-        if v not in members:
+        if v not in sub:
             continue
         parent = tree.neighbors[v][0]
         if degs[v] ** 3 <= n:
             cands = candidates(g, tree, sub, LOW_BRANCH, v)
             if 2 * len(cands) >= degs[v]:
-                low.append(v)
-                low_parents[v] = cands if parent in cands else cands + (parent,)
+                low[v] = cands if parent in cands else cands + (parent,)
         else:
             cands = candidates(g, tree, sub, HIGH_BRANCH, v)
             if 4 * len(cands) >= degs[v]:
-                high.append(v)
-                high_parents[v] = cands if parent in cands else cands + (parent,)
+                high[v] = cands if parent in cands else cands + (parent,)
     if 256 * len(low) >= n:
-        return StrategyOutcome(LOW_BRANCH, LeafSelection(tuple(low), low_parents), len(low), None)
-    return StrategyOutcome(HIGH_BRANCH, LeafSelection(tuple(high), high_parents), len(low), len(high))
+        return StrategyOutcome(LOW_BRANCH, low, len(low), None)
+    return StrategyOutcome(HIGH_BRANCH, high, len(low), len(high))
 
 
 def test_auditor_catches_corrupted_strategy_on_k3_50():
@@ -334,7 +322,7 @@ def test_auditor_catches_corrupted_strategy_on_k3_50():
     # The honest rule refuses leaf 2: its parent 5 sits in the subset with
     # no two tree neighbours outside it.
     honest = sl.select_leaves(g, t, r)
-    assert 2 not in honest.selection.leaves
+    assert 2 not in honest.selection
     # The corrupted rule selects it; moving 2 away turns 5 into a leaf of
     # the new tree and the recomputed outcome flips branch.
     report = sl.audit_reversibility(
@@ -351,16 +339,15 @@ def test_auditor_catches_corrupted_strategy_on_k3_50():
 
 def _reachable_keys(g, t, selection):
     """Edge keys of every tree reachable from t under the selection."""
-    if not selection.leaves:
+    if not selection:
         return {t.edge_key()}
-    chosen = set(selection.leaves)
     base = {
         (u, v)
         for u, v in t.edges()
-        if u not in chosen and v not in chosen
+        if u not in selection and v not in selection
     }
     keys = set()
-    options = [[(v, p) for p in selection.parents[v]] for v in selection.leaves]
+    options = [[(v, p) for p in cands] for v, cands in selection.items()]
     for combo in product(*options):
         edges = set(base)
         for v, p in combo:
@@ -379,8 +366,7 @@ def test_partition_property_exhaustive(g):
     rng = np.random.default_rng(23)
     subsets = [frozenset(int(v) for v in np.flatnonzero(rng.random(g.n) < 0.5)) for _ in range(12)]
     subsets += [frozenset(), frozenset(range(g.n))]
-    for members in subsets:
-        r = VertexSubset(members)
+    for r in subsets:
         outcomes = {key: sl.select_leaves(g, t, r) for key, t in by_key.items()}
         reach = {
             key: _reachable_keys(g, by_key[key], outcome.selection)

@@ -12,6 +12,8 @@ def test_chi_square_uniform_pads_missing_cells():
     assert p == pytest.approx(float(ref_p))
     with pytest.raises(ValueError):
         st.chi_square_uniform({"a": 1, "b": 1}, support_size=1)
+    # One outcome: no degrees of freedom, and a finite p-value of 1.
+    assert st.chi_square_uniform({"a": 7}, support_size=1) == (0.0, 1.0)
 
 
 def test_collision_rate_hand_values():
@@ -39,3 +41,5 @@ def test_fit_loglog_slope_exact_power_law():
     slope, intercept = st.fit_loglog_slope(xs, ys)
     assert slope == pytest.approx(-1.5)
     assert intercept == pytest.approx(np.log(5.0))
+    # A zero y has no logarithm: no fit, and no numpy warning.
+    assert st.fit_loglog_slope(xs, [1.0, 0.5, 0.0, 0.25]) == (None, None)
