@@ -7,6 +7,7 @@ two trees get equal codes exactly when they are isomorphic.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .exact import CapExceededError, count_spanning_trees, enumerate_spanning_trees
@@ -45,7 +46,7 @@ def code_from_neighbors(nbrs) -> bytes:
     n = len(nbrs)
     if n < 3:
         return (b"", b"()", b"(())")[n]
-    deg = [len(x) for x in nbrs]
+    deg = list(map(len, nbrs))
     leaf_kids = [0] * n
     kids: list[list[bytes] | None] = [None] * n  # codes of non-leaf children
     leaves = [u for u in range(n) if deg[u] == 1]
@@ -100,10 +101,7 @@ def _wrap(kids, leaf_kids: int) -> bytes:
 
 def histogram_key(degrees) -> tuple[tuple[int, int], ...]:
     """Hashable digest of a degree histogram."""
-    hist: dict[int, int] = {}
-    for d in degrees:
-        hist[d] = hist.get(d, 0) + 1
-    return tuple(sorted(hist.items()))
+    return tuple(sorted(Counter(degrees).items()))
 
 
 @dataclass

@@ -50,7 +50,7 @@ class Graph:
     Safe to share read-only across parallel workers.
     """
 
-    __slots__ = ("n", "m", "neighbors", "degrees", "_edge_set", "_connected")
+    __slots__ = ("n", "m", "neighbors", "degrees", "_edge_set", "_connected", "_high_degree")
 
     def __init__(self, n: int, neighbors: tuple[tuple[int, ...], ...], edge_set):
         """``edge_set`` holds every edge once, as (u, v) with u < v."""
@@ -60,6 +60,12 @@ class Graph:
         self.degrees = tuple(len(nbrs) for nbrs in neighbors)
         self._edge_set = frozenset(edge_set)
         self._connected: bool | None = None
+        self._high_degree: tuple[bool, ...] | None = None  # see reconfig.high_degree
+
+    def __reduce__(self):
+        # A pickle (one per pool task) carries the constructor's arguments,
+        # not the caches: a copy recomputes those on first use.
+        return Graph, (self.n, self.neighbors, self._edge_set)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted (u, v) pairs with u < v."""

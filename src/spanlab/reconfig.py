@@ -31,7 +31,7 @@ SELECTION_DENOMINATOR = 256
 def sample_vertex_subset(n: int, rng) -> frozenset[int]:
     """Include each vertex independently with one fair bit."""
     mask = rng.random(n) < 0.5
-    return frozenset(int(v) for v in mask.nonzero()[0])
+    return frozenset(mask.nonzero()[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,18 @@ class StrategyOutcome:
     high_count: int | None  # None when the low branch was taken
 
 
+def high_degree(g: Graph) -> tuple[bool, ...]:
+    """Per vertex, whether deg^3 > n: the degree split of the selection rule.
+
+    A constant of the graph, computed on first use and kept on it.
+    """
+    table = g._high_degree
+    if table is None:
+        n = g.n
+        table = g._high_degree = tuple([d**3 > n for d in g.degrees])
+    return table
+
+
 def may_parent(g: Graph, tree: SpanningTree, subset: frozenset, branch: str) -> list[bool]:
     """Per vertex, whether it may be a parent of a leaf selected on ``branch``.
 
@@ -61,10 +73,9 @@ def may_parent(g: Graph, tree: SpanningTree, subset: frozenset, branch: str) -> 
     """
     ok = [True] * g.n
     if branch == LOW_BRANCH:
-        n = g.n
-        degs = g.degrees
+        is_high = high_degree(g)
         for u in subset:
-            ok[u] = degs[u] ** 3 > n
+            ok[u] = is_high[u]
     else:
         tree_nbrs = tree.neighbors
         for u in subset:
@@ -87,14 +98,16 @@ def select_leaves(g: Graph, tree: SpanningTree, subset: frozenset) -> StrategyOu
     used.
     """
     n = g.n
-    degs = g.degrees
+    is_high = high_degree(g)
     low_leaves: list[int] = []
     high_leaves: list[int] = []
     for v in tree.leaves():
         if v in subset:
-            (high_leaves if degs[v] ** 3 > n else low_leaves).append(v)
+            (high_leaves if is_high[v] else low_leaves).append(v)
 
-    low = _select(g, tree, low_leaves, may_parent(g, tree, subset, LOW_BRANCH), 2)
+    low = {}
+    if low_leaves:
+        low = _select(g, tree, low_leaves, may_parent(g, tree, subset, LOW_BRANCH), 2)
     if SELECTION_DENOMINATOR * len(low) >= n:
         return StrategyOutcome(LOW_BRANCH, low, len(low), None)
     # The outside counts behind the high rule are only paid for here.
@@ -112,7 +125,7 @@ def _select(g: Graph, tree: SpanningTree, leaves, ok, share: int) -> dict:
     for v in leaves:
         if not ok[tree_nbrs[v][0]]:
             continue
-        cands = tuple(u for u in gn[v] if ok[u])
+        cands = tuple([u for u in gn[v] if ok[u]])
         if share * len(cands) >= degs[v]:
             selection[v] = cands
     return selection

@@ -46,6 +46,7 @@ def sample_wilson(g: Graph, rng) -> SpanningTree:
         raise DisconnectedGraphError("sampler requires a connected graph")
     n = g.n
     adj = g.neighbors
+    degs = g.degrees
     draw = _draws(rng, n).__next__
     nxt = [0] * n
     in_tree = bytearray(n)
@@ -53,9 +54,8 @@ def sample_wilson(g: Graph, rng) -> SpanningTree:
     for i in range(n):
         u = i
         while not in_tree[u]:
-            nbrs = adj[u]
             # Overwriting nxt[u] on revisit erases loops in place.
-            v = nbrs[int(draw() * len(nbrs))]
+            v = adj[u][int(draw() * degs[u])]
             nxt[u] = v
             u = v
         u = i

@@ -51,13 +51,11 @@ class SpanningTree:
         """Build from a parent array: every vertex but ``root`` points at its parent."""
         n = graph.n
         nbrs: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            if v == root:
-                continue
-            p = parent[v]
-            nbrs[v].append(p)
-            nbrs[p].append(v)
-        return cls(graph, nbrs, [len(x) for x in nbrs])
+        for v, p in enumerate(parent):
+            if v != root:
+                nbrs[v].append(p)
+                nbrs[p].append(v)
+        return cls(graph, nbrs, list(map(len, nbrs)))
 
     def is_spanning_tree(self) -> bool:
         """Full invariant check: n-1 host edges, connected, acyclic."""

@@ -8,7 +8,10 @@ rooting the whole tree at each center in turn (the library builds them
 in one leaf-stripping pass), edge switches read the drawn numpy arrays
 one element per attempt (the library converts them block by block),
 bootstrap slopes are fitted one column at a time (the library fits every
-column in one call), and random trees come from uniform parent-sequence
+column in one call), streams are seeded through ``SeedSequence`` itself
+(the library reproduces its hash in Python ints), subsets and degree
+histograms are built one element at a time (the library builds them in
+C-level calls), and random trees come from uniform parent-sequence
 decoding.
 """
 
@@ -18,8 +21,29 @@ import heapq
 from itertools import combinations, permutations
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 from spanlab import Graph, SpanningTree, bareiss_determinant, build_graph
+
+
+def reference_stream(master: int, *path: int) -> Generator:
+    """The PCG64 generator ``numpy.random.SeedSequence`` seeds for spawn-key
+    ``path`` under ``master``."""
+    return Generator(PCG64(SeedSequence(master, spawn_key=path)))
+
+
+def reference_vertex_subset(n: int, rng) -> frozenset[int]:
+    """Each vertex whose fair bit is set, read from the mask one at a time."""
+    mask = rng.random(n) < 0.5
+    return frozenset(int(v) for v in mask.nonzero()[0])
+
+
+def reference_histogram_key(degrees) -> tuple[tuple[int, int], ...]:
+    """Sorted (degree, count) pairs, counted in a dict loop."""
+    hist: dict[int, int] = {}
+    for d in degrees:
+        hist[d] = hist.get(d, 0) + 1
+    return tuple(sorted(hist.items()))
 
 
 def bareiss_count(g: Graph) -> int:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spanlab as sl
@@ -12,6 +12,7 @@ from helpers import (
     prufer_tree_edges,
     random_tree_edges,
     reference_code,
+    reference_histogram_key,
     relabel_edges,
     tree_centers,
 )
@@ -153,6 +154,16 @@ def test_degree_histogram_identities():
         hist = dict(sl.histogram_key(t.degrees))
         assert sum(hist.values()) == g.n
         assert sum(k * c for k, c in hist.items()) == 2 * (g.n - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 70), max_size=200))
+@example([])
+@example([1])
+def test_histogram_key_matches_dict_loop(degrees):
+    key = sl.histogram_key(degrees)
+    assert key == reference_histogram_key(degrees)
+    assert sl.histogram_key(tuple(degrees)) == key
 
 
 def test_distinct_histograms_imply_distinct_codes():

@@ -210,9 +210,17 @@ def test_experiment_conjecture_small(capsys):
     assert "baseline" in results and "codeSlope" in results
 
 
-def test_payload_determinism(capsys):
-    argv = ["experiment", "pipeline", "--gen", "bipartite:3,20",
-            "--trials", "200", "--seed", "42"]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "pipeline", "--gen", "bipartite:3,20", "--trials", "200", "--seed", "42"],
+        # Forked pool workers inherit the parent's memoised stream prefixes.
+        ["experiment", "conjecture", "--d", "3", "--sizes", "30,60", "--trials", "100",
+         "--seed", "42"],
+    ],
+    ids=["pipeline", "conjecture"],
+)
+def test_payload_determinism(capsys, argv):
     code1, rep1 = run_json(capsys, *argv)
     code2, rep2 = run_json(capsys, *argv)
     code3, rep3 = run_json(capsys, *argv, "--jobs", "2")

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 
 import pytest
 
@@ -14,6 +15,7 @@ from spanlab.graphs import (
     VertexOutOfRangeError,
     _pair_stubs,
 )
+from spanlab.reconfig import high_degree
 
 from helpers import reference_double_edge_switches
 
@@ -22,6 +24,17 @@ def test_triangle_build():
     g = sl.build_graph([(0, 1), (1, 2), (0, 2)], 3)
     assert g.n == 3 and g.m == 3
     assert g.neighbors == ((1, 2), (0, 2), (0, 1))
+
+
+def test_pickle_keeps_the_graph_and_drops_its_caches():
+    g = sl.complete_bipartite(3, 30)
+    assert g.is_connected()
+    assert any(high_degree(g))  # both caches are filled now
+    copy = pickle.loads(pickle.dumps(g))
+    assert (copy.n, copy.m, copy.neighbors, copy.degrees) == (g.n, g.m, g.neighbors, g.degrees)
+    assert copy.edges() == g.edges()
+    assert copy._connected is None and copy._high_degree is None
+    assert len(pickle.dumps(copy)) == len(pickle.dumps(g))
 
 
 def test_duplicate_edge_rejected():

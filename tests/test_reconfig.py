@@ -3,16 +3,46 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spanlab as sl
 from spanlab import HIGH_BRANCH, LOW_BRANCH, SpanningTree, StrategyOutcome
-from spanlab.reconfig import may_parent
+from spanlab import rng as rnglib
+from spanlab.reconfig import high_degree, may_parent
 
-from helpers import random_connected_graph, reference_reconfigure
+from helpers import random_connected_graph, reference_reconfigure, reference_vertex_subset
 
 
 def subset(*vertices) -> frozenset[int]:
     return frozenset(vertices)
+
+
+# ---------------------------------------------------------------------------
+# Subsets and the degree split
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 600), st.integers(0, 2**64 - 1))
+@example(0, 0)
+@example(1, 0)
+def test_vertex_subset_matches_per_element_reference(n, seed):
+    fast = sl.sample_vertex_subset(n, sl.stream(seed, rnglib.SUBSET, 0))
+    ref = reference_vertex_subset(n, sl.stream(seed, rnglib.SUBSET, 0))
+    assert fast == ref
+    assert all(type(v) is int for v in fast)
+
+
+def test_high_degree_table_matches_cube_rule():
+    rng = np.random.default_rng(41)
+    graphs = [random_connected_graph(int(rng.integers(1, 12)), rng, p) for p in (0.2, 0.5, 0.9)
+              for _ in range(10)]
+    graphs += [sl.complete_bipartite(3, 40), sl.path_graph(8), sl.complete_graph(3)]
+    for g in graphs:
+        table = high_degree(g)
+        assert table == tuple(d**3 > g.n for d in g.degrees)
+        assert high_degree(g) is table  # computed once per graph
 
 
 # ---------------------------------------------------------------------------
@@ -380,3 +410,51 @@ def test_partition_property_exhaustive(g):
                 assert outcomes[other].branch == outcomes[key].branch
                 assert outcomes[other].selection == outcomes[key].selection
                 assert reach[other] == targets
+
+
+# ---------------------------------------------------------------------------
+# Properties on random graphs and seeds
+# ---------------------------------------------------------------------------
+
+# K_{3,30}: 3^3 <= 33, so its degree-3 leaves feed the low branch.  K_7:
+# 6^3 > 7 for every vertex, so no leaf is low and the high branch runs;
+# at seed 3 it selects leaves.
+BRANCH_EXAMPLES = [
+    (sl.complete_bipartite(3, 30), 0, LOW_BRANCH),
+    (sl.complete_graph(7), 3, HIGH_BRANCH),
+]
+
+
+@st.composite
+def connected_graphs(draw):
+    n = draw(st.integers(1, 10))
+    p = draw(st.sampled_from([0.35, 0.5, 0.8]))
+    return random_connected_graph(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))), p)
+
+
+def _pipeline_instance(g, seed):
+    tree = sl.sample_wilson(g, sl.stream(seed, rnglib.TREE, 0))
+    r = sl.sample_vertex_subset(g.n, sl.stream(seed, rnglib.SUBSET, 0))
+    return tree, r
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(), st.integers(0, 2**64 - 1))
+@example(*BRANCH_EXAMPLES[0][:2])
+@example(*BRANCH_EXAMPLES[1][:2])
+def test_reconfigure_and_audit_properties(g, seed):
+    tree, r = _pipeline_instance(g, seed)
+    outcome = sl.select_leaves(g, tree, r)
+    out = sl.reconfigure(g, tree, outcome.selection, sl.stream(seed, rnglib.RECONF, 0),
+                         validate=True)
+    assert out.is_spanning_tree()
+    report = sl.audit_reversibility(g, tree, r, trials=3, rng=sl.stream(seed, rnglib.RECONF, 1))
+    assert report.ok, report.violations[0]
+
+
+@pytest.mark.parametrize("g, seed, branch", BRANCH_EXAMPLES, ids=["K3_30", "K7"])
+def test_property_examples_take_both_branches(g, seed, branch):
+    tree, r = _pipeline_instance(g, seed)
+    outcome = sl.select_leaves(g, tree, r)
+    assert outcome.branch == branch
+    assert outcome.selection
