@@ -142,11 +142,10 @@ def count_non_isomorphic(
         )
     if mode == "sampled":
         master = rnglib.resolve_seed(seed)
-        seen: dict[bytes, int] = {}
-        for t in range(budget):
-            tree = sample_wilson(g, rnglib.stream(master, rnglib.TREE, t))
-            code = code_from_neighbors(tree.neighbors)
-            seen[code] = seen.get(code, 0) + 1
+        seen = Counter(
+            code_from_neighbors(sample_wilson(g, rnglib.stream(master, rnglib.TREE, t)).neighbors)
+            for t in range(budget)
+        )
         singletons = sum(1 for c in seen.values() if c == 1)
         unseen = singletons / budget if budget else 1.0
         return NonIsoCountReport(

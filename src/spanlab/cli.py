@@ -474,7 +474,7 @@ HANDLERS = {
 }
 
 
-def _emit(args, payload, rows, seed, started):
+def _emit(args, payload, rows, seed, started) -> int:
     finished = datetime.now(timezone.utc).isoformat()
     if args.format == "csv":
         buf = io.StringIO()
@@ -497,11 +497,19 @@ def _emit(args, payload, rows, seed, started):
             "results": payload,
         }
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
+        return 0
+    try:
+        fh = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        # A path that cannot be opened for writing is bad usage, like any
+        # other bad argument; nothing has been written.
+        sys.stderr.write(f"spanlab: error: --out {args.out}: {exc.strerror}\n")
+        return 2
+    with fh:
+        fh.write(text)
+    return 0
 
 
 def main(argv=None) -> int:
@@ -515,8 +523,7 @@ def main(argv=None) -> int:
         code = getattr(exc, "code", type(exc).__name__)
         sys.stderr.write(json.dumps({"error": code, "message": str(exc)}) + "\n")
         return 1
-    _emit(args, payload, rows, seed, started)
-    return 0
+    return _emit(args, payload, rows, seed, started)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ without changing any reported number.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -126,12 +127,10 @@ def sample_degree_vector(inst: BipartiteOneOutInstance, rng) -> tuple:
 
 def _vector_from_picks(inst: BipartiteOneOutInstance, picks) -> tuple:
     offs = inst.offsets
-    indeg: dict[int, int] = {}
-    for u in picks:
-        indeg[u] = indeg.get(u, 0) + 1
+    indeg = Counter(picks)
     return histogram_key(
         [1 + offs[v] for v in inst.a_vertices]
-        + [indeg.get(u, 0) + offs[u] for u in inst.b_vertices]
+        + [indeg[u] + offs[u] for u in inst.b_vertices]
     )
 
 
@@ -172,15 +171,14 @@ def exact_vector_distribution(
 
     # Depth-first over the choice tuples on an explicit stack: at[i] is the
     # index of the choice level i holds, -1 before its first one.
-    counts: dict[tuple, int] = {}
+    counts: Counter[tuple] = Counter()
     options = [inst.choices[v] for v in inst.a_vertices]
     depth = len(options)
     at = [-1] * depth
     i = 0
     while i >= 0:
         if i == depth:
-            key = tuple(sorted(hist.items()))
-            counts[key] = counts.get(key, 0) + 1
+            counts[tuple(sorted(hist.items()))] += 1
             i -= 1
             continue
         opts = options[i]
@@ -247,10 +245,10 @@ def estimate_max_point_mass(
     if trials < 2:
         raise ValueError("need at least two trials to form pairs")
     master = rnglib.resolve_seed(seed)
-    counts: dict[tuple, int] = {}
-    for t in range(trials):
-        key = sample_degree_vector(inst, rnglib.stream(master, rnglib.MODEL, t))
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter(
+        sample_degree_vector(inst, rnglib.stream(master, rnglib.MODEL, t))
+        for t in range(trials)
+    )
     report = _collision_report(counts, trials, rnglib.stream(master, rnglib.BOOTSTRAP))
     return report, master
 
@@ -293,13 +291,13 @@ def _pipeline_chunk(args):
     return rows
 
 
-def _run_chunked(worker, args_builder, trials: int, jobs: int):
+def _run_chunked(worker, head: tuple, trials: int, jobs: int):
+    """``worker((*head, lo, hi))`` over trials ``lo:hi``, in chunks on
+    ``jobs`` processes; its rows come back in trial order."""
     if jobs <= 1:
-        return worker(args_builder(0, trials))
+        return worker((*head, 0, trials))
     chunk = max(1, -(-trials // (jobs * 8)))
-    tasks = [
-        args_builder(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)
-    ]
+    tasks = [(*head, lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     rows = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for part in pool.map(worker, tasks):
@@ -327,17 +325,11 @@ def pipeline_collision(
     """Collision estimates for the reconfigured tree's degree histogram and
     canonical code.  Code collisions can never exceed histogram collisions
     (isomorphic trees share a histogram)."""
+    if trials < 2:
+        raise ValueError("need at least two trials to form pairs")
     master = rnglib.resolve_seed(seed)
-    rows = _run_chunked(
-        _pipeline_chunk, lambda lo, hi: (g, master, lo, hi), trials, jobs
-    )
-    hist_counts: dict[tuple, int] = {}
-    code_counts: dict[bytes, int] = {}
-    branches: dict[str, int] = {}
-    for hist_key, code, branch in rows:
-        hist_counts[hist_key] = hist_counts.get(hist_key, 0) + 1
-        code_counts[code] = code_counts.get(code, 0) + 1
-        branches[branch] = branches.get(branch, 0) + 1
+    rows = _run_chunked(_pipeline_chunk, (g, master), trials, jobs)
+    hist_counts, code_counts, branches = map(Counter, zip(*rows))
     hist_report = _collision_report(
         hist_counts, trials, rnglib.stream(master, rnglib.BOOTSTRAP, 0)
     )
@@ -475,9 +467,7 @@ def multinomial_baseline(
         rng = rnglib.stream(master, rnglib.MODEL, i)
         draws = rng.multinomial(balls, [1.0 / d] * d, size=trials)
         draws.sort(axis=1)
-        counts: dict[tuple, int] = {}
-        for row in map(tuple, draws.tolist()):
-            counts[row] = counts.get(row, 0) + 1
+        counts = Counter(map(tuple, draws.tolist()))
         rate = collision_rate(counts.values(), trials)
         rows.append(
             BaselineRow(
@@ -543,18 +533,13 @@ def uniformity_experiment(
     rows = []
     for idx, (name, draw) in enumerate(SAMPLERS.items()):
         rng = rnglib.stream(master, rnglib.TREE, idx)
-        counts: dict[tuple, int] = {}
-        for _ in range(trials):
-            key = draw(g, rng).edge_key()
-            counts[key] = counts.get(key, 0) + 1
+        counts = Counter(draw(g, rng).edge_key() for _ in range(trials))
         stat, pvalue = chi_square_uniform(counts, support)
         rows.append(UniformityRow(name, trials, support, stat, pvalue))
     if include_pipeline:
-        counts = {}
-        for t in range(trials):
-            redone, _ = pipeline_reconfigured_tree(g, master, t)
-            key = redone.edge_key()
-            counts[key] = counts.get(key, 0) + 1
+        counts = Counter(
+            pipeline_reconfigured_tree(g, master, t)[0].edge_key() for t in range(trials)
+        )
         stat, pvalue = chi_square_uniform(counts, support)
         rows.append(UniformityRow("pipeline", trials, support, stat, pvalue))
     return UniformityReport(seed=master, support=support, rows=rows)

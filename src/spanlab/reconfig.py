@@ -162,8 +162,6 @@ def reconfigure(
         validate_selection(g, tree, selection)
     nbrs = tree.neighbors.copy()
     degs = tree.degrees.copy()
-    if not selection:
-        return SpanningTree(g, nbrs, degs)
     buf = rng.random(len(selection)).tolist()
     fresh = {nbrs[v][0] for v in selection}  # old parents: drop the moving leaves
     for p in fresh:

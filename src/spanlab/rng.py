@@ -8,12 +8,12 @@ run in parallel without any shared RNG state.
 ``stream`` derives its PCG64 seed with SeedSequence's own hash, bit for
 bit, computed here in Python ints: the master seed and every path word
 but the last are mixed once and memoised, so a per-trial stream only
-mixes its trial index and runs the output hash.  A path that is empty
-or ends in a word of 2**32 or more takes ``SeedSequence`` itself.  The
-returned generators draw exactly what
+absorbs the words of its last path element and runs the output hash.
+The returned generators draw exactly what
 ``Generator(PCG64(SeedSequence(master, spawn_key=path)))`` draws, but
-their bit generator holds only the derived seed words: ``.spawn()``
-raises ``TypeError`` and ``.seed_seq`` is not a ``SeedSequence``.
+their bit generator holds only the derived seed words: no generator
+from ``stream`` spawns (``.spawn()`` raises ``TypeError``) and
+``.seed_seq`` is not a ``SeedSequence``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import operator
 import secrets
 
 import numpy as np
-from numpy.random import PCG64, Generator, SeedSequence
+from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
 # Role tags used as the first spawn-key component of derived streams.
@@ -83,40 +83,54 @@ def _words(x: int) -> list[int]:
     return out
 
 
+def _hashmix(value: int, h: int) -> tuple[int, int]:
+    """SeedSequence's hashmix: the hashed value and the next hash constant."""
+    value ^= h
+    h = h * _MULT_A & _MASK32
+    value = value * h & _MASK32
+    return value ^ value >> 16, h
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _absorb(pool: list[int], h: int, words) -> int:
+    """Mix each entropy word past the pool size into every pool word in
+    turn, in place; return the hash constant after the last one."""
+    for w in words:
+        for dst in range(_POOL_SIZE):
+            v, h = _hashmix(w, h)
+            pool[dst] = _mix(pool[dst], v)
+    return h
+
+
 @functools.lru_cache(maxsize=256)
 def _mixed_prefix(master: int, head: tuple[int, ...]) -> tuple[int, ...]:
     """SeedSequence's entropy pool after mixing ``master`` and the spawn-key
     words ``head``, plus the hash constant: five ints.
 
     With a spawn key, SeedSequence zero-pads the master's words to the
-    pool size before appending the key's words, and every word past the
-    pool size is mixed into each pool word in turn.
+    pool size before appending the key's words; without one, it hashes
+    zeros where the master's words run out, which is the same.  Every
+    word past the pool size is absorbed into each pool word in turn.
     """
     entropy = _words(master)
     entropy += [0] * (_POOL_SIZE - len(entropy))
     for w in head:
         entropy += _words(w)
     h = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal h
-        value ^= h
-        h = h * _MULT_A & _MASK32
-        value = value * h & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return r ^ r >> 16
-
-    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    pool = []
+    for w in entropy[:_POOL_SIZE]:
+        v, h = _hashmix(w, h)
+        pool.append(v)
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for w in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(w))
+                v, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], v)
+    h = _absorb(pool, h, entropy[_POOL_SIZE:])
     return (*pool, h)
 
 
@@ -148,19 +162,9 @@ def stream(master: int, *path: int) -> Generator:
     per-draw bias of order ``k * 2**-53``, far below anything the
     statistical tests can resolve.
     """
-    if not path or not 0 <= path[-1] <= _MASK32:
-        return Generator(PCG64(SeedSequence(master, spawn_key=path)))
-    *prefix, h = _mixed_prefix(master, path[:-1])
-    # The last spawn-key word, mixed into each pool word in turn (hashmix
-    # and mix inlined: this runs once per stream).
-    w = operator.index(path[-1])
-    pool = []
-    for x in prefix:
-        v = w ^ h
-        h = h * _MULT_A & _MASK32
-        v = v * h & _MASK32
-        r = (_MIX_MULT_L * x - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
-        pool.append(r ^ r >> 16)
+    *pool, h = _mixed_prefix(master, path[:-1])
+    if path:
+        _absorb(pool, h, _words(path[-1]))
     # generate_state(4, uint64): 8 hashed words cycling over the pool,
     # paired little-endian into uint64s.
     out = []

@@ -7,6 +7,7 @@ distributional claims be cross-validated against sampler bias.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -151,13 +152,12 @@ def one_out_census(g: Graph, cap: int = 10**6) -> dict[tuple, int]:
     n = g.n
     adj = g.neighbors
     degs = g.degrees
-    counts: dict[tuple, int] = {}
+    counts: Counter[tuple] = Counter()
     idx = [0] * n
     while True:
         edges = tree_support([adj[v][idx[v]] for v in range(n)])
         if edges is not None:
-            key = tuple(edges)
-            counts[key] = counts.get(key, 0) + 1
+            counts[tuple(edges)] += 1
         # Odometer increment over the product of neighbour choices.
         v = 0
         while v < n:
@@ -214,27 +214,17 @@ def leaf_stats(g: Graph, trials: int, sampler: str, rng) -> LeafStatsReport:
     draw = SAMPLERS[sampler]
     probs = [one_out_leaf_probability(g, v) for v in range(g.n)]
     svals = [neighbour_degree_sum(g, v) for v in range(g.n)]
-    hist: dict[int, int] = {}
-    total = 0
-    low = g.n
-    high = 0
-    for _ in range(trials):
-        tree = draw(g, rng)
-        k = len(tree.leaves())
-        hist[k] = hist.get(k, 0) + 1
-        total += k
-        low = min(low, k)
-        high = max(high, k)
+    leaves = [len(draw(g, rng).leaves()) for _ in range(trials)]
     return LeafStatsReport(
         trials=trials,
         sampler=sampler,
         leaf_probabilities=probs,
         s_values=svals,
         expected_one_out_leaves=sum(probs, Fraction(0)),
-        histogram=dict(sorted(hist.items())),
-        mean_leaves=total / trials,
-        min_leaves=low,
-        max_leaves=high,
+        histogram=dict(sorted(Counter(leaves).items())),
+        mean_leaves=sum(leaves) / trials,
+        min_leaves=min(leaves),
+        max_leaves=max(leaves),
     )
 
 

@@ -242,6 +242,19 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(out.read_text())["results"]["spanningTrees"] == "16"
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, target):
+    out = tmp_path / "no" / "such" / "x.json" if target == "missing-dir" else tmp_path
+    before = sorted(tmp_path.rglob("*"))
+    code = main(["count-exact", "--gen", "complete:4", "--seed", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("spanlab: error: --out ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert sorted(tmp_path.rglob("*")) == before  # no partial file
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sample", "--gen", "regular:3,5", "--seed", "1"])  # parity
@@ -431,3 +444,60 @@ def test_count_exact_graph_file_fuzz(data):
         assert json.loads(err.getvalue())["error"] in TYPED_CODES
     else:
         assert json.loads(out.getvalue())["results"]["n"] >= 0
+
+
+# Graph specs on at most 8 vertices: feasible ones of every family, plus
+# infeasible and malformed ones that must end as usage errors.
+_SPECS = st.one_of(
+    st.integers(0, 8).map("complete:{}".format),
+    st.tuples(st.integers(0, 4), st.integers(1, 4)).map("bipartite:{0[0]},{0[1]}".format),
+    st.tuples(st.integers(1, 4), st.integers(2, 8)).map("regular:{0[0]},{0[1]}".format),
+    st.tuples(st.integers(2, 8), st.sampled_from(["0.5", "0.9", "1"]), st.integers(0, 2)).map(
+        "gnp:{0[0]},{0[1]},{0[2]}".format
+    ),
+    st.sampled_from(["complete:x", "regular:3", "gnp:5,2,1", "star:4", ""]),
+)
+
+# Every subcommand, sampler and experiment kind; {limit} is a cap or budget.
+_COMMANDS = [
+    "count-exact",
+    "enumerate --cap {limit}",
+    "sample --sampler wilson",
+    "sample --sampler ab",
+    "sample --sampler reject",
+    "reconfigure",
+    "reconfigure --dump-selections",
+    "count-noniso --mode exact --budget {limit}",
+    "count-noniso --mode sampled --budget {limit}",
+    "experiment lemma35",
+    "experiment pipeline",
+    "experiment leaves",
+    "experiment uniformity --cap {limit}",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_COMMANDS),
+    st.integers(1, 300),
+    _SPECS,
+    st.sampled_from(["json", "csv"]),
+    st.integers(1, 12),
+    st.integers(0, 2**64 - 1),
+)
+def test_cli_fuzz_every_subcommand(command, limit, spec, fmt, trials, seed):
+    argv = [*command.format(limit=limit).split(), "--gen", spec, "--format", fmt, "--trials", str(trials),
+            "--seed", str(seed), "--jobs", "1"]
+    out, err = io.StringIO(), io.StringIO()
+    # In process, a traceback would be an exception escaping main().
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert json.loads(err.getvalue())["error"] in TYPED_CODES, argv
+    if code == 0 and fmt == "json":
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -452,7 +452,47 @@ def test_reconfigure_and_audit_properties(g, seed):
     assert report.ok, report.violations[0]
 
 
-@pytest.mark.parametrize("g, seed, branch", BRANCH_EXAMPLES, ids=["K3_30", "K7"])
+# Random graphs of minimum degree 3 and more, built from ``stream(seed, 91)``.
+# regular:3,30 has 3^3 <= 30 at every vertex, so the low branch can run;
+# gnp on 10 vertices has deg^3 > 10 everywhere, so only the high one can.
+MIN_DEGREE_EXAMPLES = [
+    (("regular", 3, 30), 2, LOW_BRANCH),
+    (("gnp", 10, 0.6, 3), 3, HIGH_BRANCH),
+]
+
+
+@st.composite
+def min_degree_specs(draw):
+    if draw(st.booleans()):
+        d = draw(st.integers(3, 5))
+        return ("regular", d, draw(st.integers(d + 1, 40).filter(lambda n: d * n % 2 == 0)))
+    return ("gnp", draw(st.integers(4, 14)), draw(st.sampled_from([0.6, 0.8])), 3)
+
+
+def min_degree_graph(spec, seed):
+    family, *params = spec
+    build = sl.random_regular if family == "regular" else sl.gnp_min_degree
+    return build(*params, sl.stream(seed, 91))
+
+
+@settings(max_examples=100, deadline=None)
+@given(min_degree_specs(), st.integers(0, 2**64 - 1))
+@example(*MIN_DEGREE_EXAMPLES[0][:2])
+@example(*MIN_DEGREE_EXAMPLES[1][:2])
+def test_audit_on_random_min_degree_graphs(spec, seed):
+    g = min_degree_graph(spec, seed)
+    assert g.min_degree() >= 3
+    tree, r = _pipeline_instance(g, seed)
+    report = sl.audit_reversibility(g, tree, r, trials=3, rng=sl.stream(seed, rnglib.RECONF, 0))
+    assert report.ok, report.violations[0]
+
+
+@pytest.mark.parametrize(
+    "g, seed, branch",
+    BRANCH_EXAMPLES
+    + [(min_degree_graph(spec, seed), seed, branch) for spec, seed, branch in MIN_DEGREE_EXAMPLES],
+    ids=["K3_30", "K7", "regular3_30", "gnp10"],
+)
 def test_property_examples_take_both_branches(g, seed, branch):
     tree, r = _pipeline_instance(g, seed)
     outcome = sl.select_leaves(g, tree, r)

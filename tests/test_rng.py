@@ -8,18 +8,19 @@ from spanlab.rng import stream
 
 from helpers import reference_stream
 
-MASTERS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+# Masters of 2**64 and more take three or four 32-bit words.
+MASTERS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100)
 ROLES = range(6)
 TRIALS = (0, 1, 4999, 2**32 - 1)
-# A last word of 2**32 or more is a multi-word key: SeedSequence seeds it.
-FALLBACK_WORDS = (2**32, 2**40)
+# Last path elements of two and three 32-bit words.
+MULTI_WORD = (2**32, 2**40, 2**64 + 3)
 
 
 def _grid_paths():
     yield ()
     for r in ROLES:
         yield (r,)
-        for t in TRIALS + FALLBACK_WORDS:
+        for t in TRIALS + MULTI_WORD:
             yield (r, t)
             yield (r, 7, t)
         yield (r, 2**40, 3)  # a multi-word key before the last word
@@ -40,8 +41,8 @@ def test_stream_matches_seedsequence_on_grid(master):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.integers(0, 2**64 - 1),
-    st.lists(st.integers(0, 2**40 - 1), max_size=3).map(tuple),
+    st.integers(0, 2**100),
+    st.lists(st.integers(0, 2**70), max_size=3).map(tuple),
 )
 def test_stream_matches_seedsequence(master, path):
     _same_stream(master, path)
@@ -73,4 +74,5 @@ def test_stream_refuses_negative_words_like_seedsequence():
 def test_derived_generators_do_not_spawn():
     with pytest.raises(TypeError):
         stream(1, rnglib.TREE, 3).spawn(1)
-    assert len(stream(1).spawn(2)) == 2  # an empty path is SeedSequence's own
+    with pytest.raises(TypeError):  # the root stream too
+        stream(1).spawn(2)
