@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -219,10 +220,10 @@ class CollisionReport:
     bootstrap: np.ndarray | None = field(default=None, repr=False)
 
 
-def _collision_report(counts: dict, trials: int, boot_rng) -> CollisionReport:
+def _collision_report(counts: dict, trials: int, boots: np.ndarray) -> CollisionReport:
+    """The report on one tally, given its bootstrap (``_bootstrap``)."""
     values = list(counts.values())
     rate = collision_rate(values, trials)
-    boots = bootstrap_collisions(values, trials, boot_rng)
     ci95 = percentile_interval(boots, 0.95)
     ci99 = percentile_interval(boots, 0.99)
     return CollisionReport(
@@ -249,8 +250,10 @@ def estimate_max_point_mass(
         sample_degree_vector(inst, rnglib.stream(master, rnglib.MODEL, t))
         for t in range(trials)
     )
-    report = _collision_report(counts, trials, rnglib.stream(master, rnglib.BOOTSTRAP))
-    return report, master
+    boots = bootstrap_collisions(
+        list(counts.values()), trials, rnglib.stream(master, rnglib.BOOTSTRAP)
+    )
+    return _collision_report(counts, trials, boots), master
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +294,80 @@ def _pipeline_chunk(args):
     return rows
 
 
-def _run_chunked(worker, head: tuple, trials: int, jobs: int):
-    """``worker((*head, lo, hi))`` over trials ``lo:hi``, in chunks on
-    ``jobs`` processes; its rows come back in trial order."""
-    if jobs <= 1:
-        return worker((*head, 0, trials))
+def _tally(counters, rows) -> None:
+    """Add pipeline rows (histogram, code, branch) to their three counters.
+
+    Chunks are added in trial order, so every counter keeps the insertion
+    order one pass over all the rows gives it."""
+    for counter, column in zip(counters, zip(*rows)):
+        counter.update(column)
+
+
+def _bootstrap(values: list, trials: int, seed: int, which: int) -> np.ndarray:
+    """Bootstrap of one tally's class counts: ``which`` is 0 for
+    histograms and 1 for codes."""
+    return bootstrap_collisions(values, trials, rnglib.stream(seed, rnglib.BOOTSTRAP, which))
+
+
+class _Later:
+    """A task of the in-process pool at ``jobs=1``: it runs when its result
+    is asked for, so tasks run in the order a pool would start them."""
+
+    def __init__(self, fn, *args):
+        self.fn, self.args = fn, args
+
+    def result(self):
+        return self.fn(*self.args)
+
+
+def _run_chunked(worker, heads: list, trials: int, jobs: int, keep_rows: bool = False):
+    """Pipeline trials ``0:trials`` of every head ``(g, seed)`` and the
+    bootstraps of their tallies, on one pool of ``jobs`` processes (or in
+    this process at ``jobs=1``).
+
+    ``worker((g, seed, lo, hi))`` returns the rows of trials ``lo:hi``.  The
+    chunks of every head are submitted up front, in the order of ``heads``.
+    Once a head's chunks are in, its rows are tallied and dropped, and its
+    two bootstraps go to the same pool with only the class counts, queued
+    behind the chunks already submitted: no worker waits for this process
+    between heads.  Returns one ``(counters, boots,
+    rows)`` per head: the histogram, code and branch ``Counter``, the
+    histogram and code bootstraps, and the rows in trial order when
+    ``keep_rows`` (else None).
+    """
     chunk = max(1, -(-trials // (jobs * 8)))
-    tasks = [(*head, lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    rows = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(worker, tasks):
-            rows.extend(part)
-    return rows
+    bounds = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        submit = pool.submit if pool is not None else _Later
+        parts = [[submit(worker, (*head, lo, hi)) for lo, hi in bounds] for head in heads]
+        pending = []
+        for (_, seed), futures in zip(heads, parts):
+            counters = (Counter(), Counter(), Counter())
+            rows = [] if keep_rows else None
+            for future in futures:
+                part = future.result()
+                _tally(counters, part)
+                if keep_rows:
+                    rows.extend(part)
+            futures.clear()  # a done future holds its rows
+            boots = [
+                submit(_bootstrap, list(counter.values()), trials, seed, which)
+                for which, counter in enumerate(counters[:2])
+            ]
+            pending.append((counters, boots, rows))
+        return [(counters, [b.result() for b in boots], rows) for counters, boots, rows in pending]
+
+
+def _pipeline_reports(counters, boots, trials: int) -> tuple[CollisionReport, CollisionReport]:
+    """Histogram and code reports of one head of ``_run_chunked``."""
+    hist_report = _collision_report(counters[0], trials, boots[0])
+    code_report = _collision_report(counters[1], trials, boots[1])
+    if code_report.colliding_pairs > hist_report.colliding_pairs:
+        raise AssertionError(
+            "canonical-code collisions exceeded histogram collisions; "
+            "codes no longer refine histograms"
+        )
+    return hist_report, code_report
 
 
 @dataclass
@@ -328,26 +393,17 @@ def pipeline_collision(
     if trials < 2:
         raise ValueError("need at least two trials to form pairs")
     master = rnglib.resolve_seed(seed)
-    rows = _run_chunked(_pipeline_chunk, (g, master), trials, jobs)
-    hist_counts, code_counts, branches = map(Counter, zip(*rows))
-    hist_report = _collision_report(
-        hist_counts, trials, rnglib.stream(master, rnglib.BOOTSTRAP, 0)
+    [(counters, boots, rows)] = _run_chunked(
+        _pipeline_chunk, [(g, master)], trials, jobs, keep_rows=keep_digests
     )
-    code_report = _collision_report(
-        code_counts, trials, rnglib.stream(master, rnglib.BOOTSTRAP, 1)
-    )
-    if code_report.colliding_pairs > hist_report.colliding_pairs:
-        raise AssertionError(
-            "canonical-code collisions exceeded histogram collisions; "
-            "codes no longer refine histograms"
-        )
+    hist_report, code_report = _pipeline_reports(counters, boots, trials)
     return PipelineCollisionReport(
         seed=master,
         trials=trials,
-        branch_counts=dict(sorted(branches.items())),
+        branch_counts=dict(sorted(counters[2].items())),
         histograms=hist_report,
         codes=code_report,
-        digests=rows if keep_digests else None,
+        digests=rows,
     )
 
 
@@ -403,12 +459,20 @@ def scaling_experiment(
     sizes = tuple(sizes)
     check_sizes(d, sizes)
     master = rnglib.resolve_seed(seed)
-    rows = []
-    for i, n in enumerate(sizes):
-        g = complete_bipartite(d, n - d)
-        per_size_seed = int(rnglib.stream(master, rnglib.GENERATE, i).integers(0, 2**63))
-        sub = pipeline_collision(g, trials, seed=per_size_seed, jobs=jobs)
-        rows.append(ScalingRow(n=n, trials=trials, histograms=sub.histograms, codes=sub.codes))
+    heads = [
+        (
+            complete_bipartite(d, n - d),
+            int(rnglib.stream(master, rnglib.GENERATE, i).integers(0, 2**63)),
+        )
+        for i, n in enumerate(sizes)
+    ]
+    # Largest size first: its chunks are the longest, so the pool does not
+    # end on them.
+    tallies = _run_chunked(_pipeline_chunk, heads[::-1], trials, jobs)[::-1]
+    rows = [
+        ScalingRow(n, trials, *_pipeline_reports(counters, boots, trials))
+        for n, (counters, boots, _) in zip(sizes, tallies)
+    ]
     code_slope, _ = fit_loglog_slope(sizes, [r.codes.max_mass_bound for r in rows])
     hist_slope, _ = fit_loglog_slope(sizes, [r.histograms.max_mass_bound for r in rows])
     boots = np.vstack([r.codes.bootstrap for r in rows])

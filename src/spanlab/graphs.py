@@ -271,14 +271,24 @@ def _double_edge_switches(edges: set[tuple[int, int]], rng) -> set[tuple[int, in
     return edges
 
 
+def _check_gnp(n: int, p: float, d: int) -> None:
+    """Raise InfeasibleSpecError unless some draw of G(n,p) is connected with
+    min degree >= d: that needs d < n, and an edge when n >= 2."""
+    if n < 1 or not 0.0 <= p <= 1.0 or d < 0:
+        raise InfeasibleSpecError(f"bad G(n,p) parameters n={n}, p={p}, d={d}")
+    if d >= n:
+        raise InfeasibleSpecError(f"no graph on {n} vertices has min degree {d}")
+    if p == 0 and n >= 2:
+        raise InfeasibleSpecError(f"G({n},0) has no edge, so it is never connected")
+
+
 def gnp_min_degree(n: int, p: float, d: int, rng, retries: int = 1000) -> Graph:
     """G(n,p) resampled until connected with min degree >= d.
 
     Bounded retries keep experiment inputs guaranteed-valid rather than
     silently conditioning on rare events.
     """
-    if n < 1 or not 0.0 <= p <= 1.0 or d < 0:
-        raise InfeasibleSpecError(f"bad G(n,p) parameters n={n}, p={p}, d={d}")
+    _check_gnp(n, p, d)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for _ in range(retries):
         mask = rng.random(len(pairs)) < p
@@ -334,8 +344,7 @@ class GraphSpec:
                 if len(parts) != 3:
                     raise ValueError
                 n, p, d = int(parts[0]), float(parts[1]), int(parts[2])
-                if n < 1 or not 0.0 <= p <= 1.0 or d < 0:
-                    raise InfeasibleSpecError(f"bad gnp parameters {rest!r}")
+                _check_gnp(n, p, d)
                 return cls("gnp", (n, p, d))
         except InfeasibleSpecError:
             raise

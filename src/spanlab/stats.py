@@ -40,6 +40,9 @@ def bootstrap_collisions(counts, trials: int, rng, resamples: int = 1000) -> np.
     come from resampling rather than a normal approximation.
     """
     counts = np.asarray(list(counts), dtype=np.int64)
+    if not counts.size:
+        # No class to resample, so no pair collides (as in collision_rate).
+        return np.zeros(resamples)
     probs = counts / trials
     out = np.empty(resamples)
     denom = trials * (trials - 1) / 2

@@ -2,16 +2,21 @@
 
 ``spanbench/spans.py`` looks its traced callables up by name, and
 ``spanbench/command.py`` wraps ``experiments._run_chunked`` and swaps
-``experiments.ProcessPoolExecutor`` for a stand-in.  A refactor that
-renames any of them breaks a traced benchmark run; these checks fail
-first.  ``spans.py`` is parsed, not imported, so nothing under
-``spanbench/`` is executed or written.
+``experiments.ProcessPoolExecutor`` for a stand-in that runs nothing and
+returns empty results, then replays each recorded call through it.  A
+refactor that renames any of them, or that cannot take empty results,
+breaks a traced benchmark run; these checks fail first.  ``spans.py`` is
+parsed, not imported, so nothing under ``spanbench/`` is executed or
+written.
 """
 
 import ast
 import importlib
 import inspect
+from concurrent.futures import Future
 from pathlib import Path
+
+import pytest
 
 from spanlab import experiments
 
@@ -43,3 +48,63 @@ def test_pool_probe_hooks_exist():
     params = inspect.signature(experiments._run_chunked).parameters
     assert {"worker", "jobs"} <= set(params)
     assert hasattr(experiments, "ProcessPoolExecutor")
+
+
+class StandInPool:
+    """A process pool like the benchmark probe's stand-in: ``map`` and
+    ``submit`` run nothing and return empty results."""
+
+    tasks: list = []
+    pools = 0
+
+    def __init__(self, *args, **kwargs):
+        StandInPool.pools += 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, **kwargs):
+        for task in zip(*iterables):
+            self.tasks.append(task)
+            yield []
+
+    def submit(self, fn, *args, **kwargs):
+        self.tasks.append(args)
+        done = Future()
+        done.set_result([])
+        return done
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pool_probe_replay_of_a_sweep(monkeypatch, jobs):
+    # Record the _run_chunked call of a two-size sweep, then replay it the
+    # way the benchmark's traced run does: a no-op worker, the workload's
+    # jobs, and the stand-in in place of the process pool.
+    calls = []
+    real = experiments._run_chunked
+    monkeypatch.setattr(
+        experiments, "_run_chunked", lambda *a, **k: calls.append((a, k)) or real(*a, **k)
+    )
+    experiments.scaling_experiment(3, (30, 60), trials=160, seed=5, jobs=1)
+    [(args, kwargs)] = calls
+    bound = inspect.signature(real).bind(*args, **kwargs).arguments
+    bound["worker"] = lambda task: []
+    bound["jobs"] = jobs
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", StandInPool)
+    monkeypatch.setattr(StandInPool, "tasks", [])
+    monkeypatch.setattr(StandInPool, "pools", 0)
+    real(**bound)
+    if jobs == 1:
+        # Runs in this process: no pool, nothing pickled.
+        assert StandInPool.pools == 0 and StandInPool.tasks == []
+        return
+    # 160 trials in chunks of ceil(160 / 16) = 10: 16 chunks per size, then
+    # two bootstraps per size, all on one pool.
+    assert StandInPool.pools == 1
+    chunks = [t for t in StandInPool.tasks if len(t) == 1]
+    boots = [t for t in StandInPool.tasks if len(t) == 4]
+    assert len(chunks) == 2 * 16 and len(boots) == 2 * 2
+    assert len(StandInPool.tasks) == 36

@@ -6,6 +6,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 import spanlab as sl
 from spanlab import cli
 from spanlab.cli import main
+
+from helpers import random_connected_graph
 
 
 def run_json(capsys, *argv):
@@ -48,6 +51,33 @@ def test_enumerate_triangle(capsys):
     assert code == 0
     assert report["results"]["count"] == 3
     assert len(report["results"]["trees"]) == 3
+
+
+def _cli_results(*argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(list(argv)) == 0, argv
+    return json.loads(out.getvalue())["results"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.sampled_from([0.35, 0.5, 0.8]),
+    st.integers(0, 2**32 - 1),
+)
+def test_enumerate_agrees_with_count_exact(n, p, seed):
+    g = random_connected_graph(n, np.random.default_rng(seed), p)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        sl.write_graph_file(g, path)
+        listed = _cli_results("enumerate", "--graph", path, "--seed", "1")
+        counted = _cli_results("count-exact", "--graph", path, "--seed", "1")
+    trees = {tuple(map(tuple, t)) for t in listed["trees"]}
+    assert listed["count"] == len(listed["trees"]) == int(counted["spanningTrees"])
+    assert len(trees) == len(listed["trees"])  # pairwise distinct
+    edges = set(g.edges())
+    assert all(len(t) == n - 1 and set(t) <= edges for t in trees)
 
 
 def test_enumerate_cap_exceeded_is_domain_error(capsys):
@@ -298,6 +328,21 @@ def test_usage_errors_exit_two(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+@pytest.mark.parametrize(
+    "spec,reason",
+    [
+        ("gnp:2,0.5,2", "no graph on 2 vertices has min degree 2"),
+        ("gnp:6,0,1", "G(6,0) has no edge, so it is never connected"),
+    ],
+)
+def test_infeasible_gnp_spec_is_usage_error(capsys, spec, reason):
+    # Refused when the spec is parsed, before any G(n,p) draw.
+    with pytest.raises(SystemExit) as exc:
+        main(["count-exact", "--gen", spec, "--seed", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith("error: " + reason)
 
 
 def test_cli_import_does_not_load_scipy():

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import product
 
@@ -200,15 +201,42 @@ def test_pipeline_k3_100_histogram_collision_regression():
     assert report.histograms.collision == pytest.approx(0.02, abs=0.015)
 
 
+def assert_same_collision_report(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "bootstrap":
+            assert np.array_equal(x, y)
+        else:
+            assert x == y, f.name
+
+
 def test_pipeline_reports_are_reproducible_and_jobs_invariant():
     g = sl.complete_bipartite(3, 30)
-    a = sl.pipeline_collision(g, trials=400, seed=11)
-    b = sl.pipeline_collision(g, trials=400, seed=11)
-    c = sl.pipeline_collision(g, trials=400, seed=11, jobs=2)
+    a = sl.pipeline_collision(g, trials=400, seed=11, keep_digests=True)
+    b = sl.pipeline_collision(g, trials=400, seed=11, keep_digests=True)
+    c = sl.pipeline_collision(g, trials=400, seed=11, jobs=2, keep_digests=True)
+    assert len(a.digests) == 400
     for x in (b, c):
-        assert x.histograms.collision == a.histograms.collision
-        assert x.codes.collision == a.codes.collision
+        assert_same_collision_report(x.histograms, a.histograms)
+        assert_same_collision_report(x.codes, a.codes)
         assert x.branch_counts == a.branch_counts
+        assert x.digests == a.digests
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_scaling_report_is_jobs_invariant(seed):
+    # The bootstraps run on the pool at jobs=2; every array must match.
+    one, two = (
+        sl.scaling_experiment(3, (30, 60, 90), trials=300, seed=seed, jobs=jobs) for jobs in (1, 2)
+    )
+    assert [r.n for r in one.rows] == [r.n for r in two.rows] == [30, 60, 90]
+    for a, b in zip(one.rows, two.rows):
+        assert a.trials == b.trials
+        assert_same_collision_report(a.histograms, b.histograms)
+        assert_same_collision_report(a.codes, b.codes)
+    assert one.code_slope == two.code_slope
+    assert one.code_slope_ci95 == two.code_slope_ci95
+    assert one.histogram_slope == two.histogram_slope
 
 
 def test_scaling_experiment_smoke():

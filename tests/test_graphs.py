@@ -235,6 +235,40 @@ def test_spec_parse_and_describe():
             sl.GraphSpec.parse(bad)
 
 
+class NoDraws:
+    """An rng that fails the test if anything draws from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from the rng ({name})")
+
+
+# gnp:n,p,d specs by feasibility: d >= n, or p = 0 with n >= 2, has no
+# connected draw with min degree d and is refused before any draw.
+GNP_SPECS = {
+    "gnp:2,0.5,2": False,
+    "gnp:200,0.9,200": False,
+    "gnp:6,0,1": False,
+    "gnp:2,0,0": False,
+    "gnp:1,0.5,0": True,
+    "gnp:1,0,0": True,
+    "gnp:4,0.5,3": True,
+}
+
+
+@pytest.mark.parametrize("text,feasible", GNP_SPECS.items(), ids=GNP_SPECS.keys())
+def test_gnp_spec_feasibility(text, feasible):
+    n, p, d = (float(x) if "." in x else int(x) for x in text.split(":")[1].split(","))
+    if feasible:
+        spec = sl.GraphSpec.parse(text)
+        assert spec.params == (n, p, d)
+        assert sl.check_connected_min_degree(sl.generate(spec, seed=3), d)
+        return
+    with pytest.raises(InfeasibleSpecError):
+        sl.GraphSpec.parse(text)
+    with pytest.raises(InfeasibleSpecError):
+        sl.gnp_min_degree(n, p, d, NoDraws())
+
+
 GRAPH_FILE_ERRORS = {
     # id: (file bytes or None for no file, error class, message template)
     "missing": (
