@@ -26,7 +26,7 @@ def canonical_code(edges, n: int) -> bytes:
             raise NotATreeError(f"bad tree edge ({u},{v})")
         nbrs[u].append(v)
         nbrs[v].append(u)
-    if len(edges) != n - 1 or not connected(nbrs):
+    if len(edges) != n - 1 or connected(nbrs) is None:
         raise NotATreeError(f"{len(edges)} edges on {n} vertices do not form a tree")
     return code_from_neighbors(nbrs)
 

@@ -192,8 +192,6 @@ def enumerate_spanning_trees(g: Graph, cap: int) -> list[SpanningTree]:
     n = g.n
     if n == 0 or not g.is_connected():
         return []
-    if n == 1:
-        return [SpanningTree.from_edges(g, [], validate=False)]
     edges = g.edges()
     out: list[tuple[tuple[int, int], ...]] = []
 

@@ -97,12 +97,14 @@ def instance_from_selection(
 
     Side A is the selected leaves with their candidate parents; side B is
     everything else, offset by its degree in the tree with the selected
-    leaves removed.
+    leaves removed: its tree degree less the selected leaves hanging on it.
     """
     b_side = tuple(v for v in range(g.n) if v not in selection)
     offsets = dict.fromkeys(selection, 0)
+    hanging = Counter(tree.parent[v] for v in selection)
+    degs = tree.degrees
     for u in b_side:
-        offsets[u] = sum(1 for w in tree.neighbors[u] if w not in selection)
+        offsets[u] = degs[u] - hanging[u]
     return BipartiteOneOutInstance(
         a_vertices=tuple(selection),
         b_vertices=b_side,
@@ -272,10 +274,7 @@ def pipeline_reconfigured_tree(g: Graph, master: int, t: int):
     tree = sample_wilson(g, rnglib.stream(master, rnglib.TREE, t))
     subset = sample_vertex_subset(g.n, rnglib.stream(master, rnglib.SUBSET, t))
     outcome = select_leaves(g, tree, subset)
-    redone = reconfigure(
-        g, tree, outcome.selection, rnglib.stream(master, rnglib.RECONF, t),
-        validate=False,
-    )
+    redone = reconfigure(g, tree, outcome.selection, rnglib.stream(master, rnglib.RECONF, t))
     return redone, outcome
 
 

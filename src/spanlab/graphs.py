@@ -80,30 +80,31 @@ class Graph:
     def is_connected(self) -> bool:
         # Immutable graph: compute once, reuse (samplers check this per call).
         if self._connected is None:
-            self._connected = connected(self.neighbors)
+            self._connected = connected(self.neighbors) is not None
         return self._connected
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def connected(neighbors) -> bool:
-    """True iff adjacency lists over ``0..n-1`` form a connected graph, n >= 1."""
+def connected(neighbors) -> list[int] | None:
+    """Breadth-first search over adjacency lists on ``0..n-1``.
+
+    Returns the search tree as a parent array rooted at 0 (``parent[0]``
+    is 0), or None when the lists are disconnected or n = 0.
+    """
     n = len(neighbors)
     if n == 0:
-        return False
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
+        return None
+    parent = [-1] * n
+    parent[0] = 0
+    order = [0]
+    for u in order:
         for v in neighbors[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                stack.append(v)
-    return count == n
+            if parent[v] < 0:
+                parent[v] = u
+                order.append(v)
+    return parent if len(order) == n else None
 
 
 def find(parent: list[int], x: int) -> int:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graphs import Graph
 from .trees import SpanningTree
 
@@ -46,8 +48,6 @@ class StrategyOutcome:
 
     branch: str
     selection: dict[int, tuple[int, ...]]
-    low_count: int
-    high_count: int | None  # None when the low branch was taken
 
 
 def high_degree(g: Graph) -> tuple[bool, ...]:
@@ -71,20 +71,23 @@ def may_parent(g: Graph, tree: SpanningTree, subset: frozenset, branch: str) -> 
     at least two tree neighbours outside the subset, so it stays an inner
     vertex whatever the selected leaves do.
     """
-    ok = [True] * g.n
     if branch == LOW_BRANCH:
+        ok = [True] * g.n
         is_high = high_degree(g)
         for u in subset:
             ok[u] = is_high[u]
-    else:
-        tree_nbrs = tree.neighbors
-        for u in subset:
-            outside = 0
-            for w in tree_nbrs[u]:
-                if w not in subset:
-                    outside += 1
-            ok[u] = outside >= 2
-    return ok
+        return ok
+    # One pass over the tree edges (v, parent[v]): each edge with exactly
+    # one end in the subset leaves it at that end.
+    n = g.n
+    inside = np.zeros(n, dtype=bool)
+    inside[np.fromiter(subset, np.intp, len(subset))] = True
+    parent = np.fromiter(tree.parent, np.intp, n)
+    crossing = inside != inside[parent]
+    crossing[tree.root] = False
+    ends = np.where(inside, np.arange(n), parent)[crossing]
+    outside = np.bincount(ends, minlength=n)
+    return (~inside | (outside >= 2)).tolist()
 
 
 def select_leaves(g: Graph, tree: SpanningTree, subset: frozenset) -> StrategyOutcome:
@@ -109,10 +112,10 @@ def select_leaves(g: Graph, tree: SpanningTree, subset: frozenset) -> StrategyOu
     if low_leaves:
         low = _select(g, tree, low_leaves, may_parent(g, tree, subset, LOW_BRANCH), 2)
     if SELECTION_DENOMINATOR * len(low) >= n:
-        return StrategyOutcome(LOW_BRANCH, low, len(low), None)
+        return StrategyOutcome(LOW_BRANCH, low)
     # The outside counts behind the high rule are only paid for here.
     high = _select(g, tree, high_leaves, may_parent(g, tree, subset, HIGH_BRANCH), 4)
-    return StrategyOutcome(HIGH_BRANCH, high, len(low), len(high))
+    return StrategyOutcome(HIGH_BRANCH, high)
 
 
 def _select(g: Graph, tree: SpanningTree, leaves, ok, share: int) -> dict:
@@ -120,10 +123,10 @@ def _select(g: Graph, tree: SpanningTree, leaves, ok, share: int) -> dict:
     their neighbours ``ok``, each mapped to those neighbours."""
     gn = g.neighbors
     degs = g.degrees
-    tree_nbrs = tree.neighbors
+    parent = tree.parent
     selection: dict[int, tuple[int, ...]] = {}
     for v in leaves:
-        if not ok[tree_nbrs[v][0]]:
+        if not ok[parent[v]]:
             continue
         cands = tuple([u for u in gn[v] if ok[u]])
         if share * len(cands) >= degs[v]:
@@ -136,7 +139,7 @@ def validate_selection(g: Graph, tree: SpanningTree, selection: dict) -> None:
     for v, cands in selection.items():
         if tree.degrees[v] != 1:
             raise ValueError(f"vertex {v} is not a leaf of the tree")
-        if tree.neighbors[v][0] not in cands:
+        if tree.parent[v] not in cands:
             raise ValueError(f"current parent of {v} missing from its candidates")
         nbrs = set(g.neighbors[v])
         for u in cands:
@@ -146,38 +149,25 @@ def validate_selection(g: Graph, tree: SpanningTree, selection: dict) -> None:
                 raise ValueError(f"candidate {u} of {v} is itself selected")
 
 
-def reconfigure(
-    g: Graph, tree: SpanningTree, selection: dict, rng, validate: bool = True
-) -> SpanningTree:
+def reconfigure(g: Graph, tree: SpanningTree, selection: dict, rng) -> SpanningTree:
     """Detach each selected leaf and reattach it to a uniform candidate.
 
-    Always returns a fresh tree (auditing needs both).  The result is a
-    spanning tree by construction: candidates exclude selected leaves, so
-    the unselected core stays a tree and each leaf hangs off it.  Only the
-    rows of the moved leaves and of their old and new parents are new
-    lists; every other row is shared with ``tree`` (trees are never
-    mutated).
+    The selection is trusted (``validate_selection`` checks one).  Each
+    move sets the leaf's parent entry, in selection order, on copies of
+    the parent and degree arrays, so a fresh tree comes back and ``tree``
+    is left as it was (auditing needs both).  The result is a spanning
+    tree by construction: candidates exclude selected leaves, so the
+    unselected core stays a tree and each leaf hangs off it.
     """
-    if validate:
-        validate_selection(g, tree, selection)
-    nbrs = tree.neighbors.copy()
+    parent = tree.parent.copy()
     degs = tree.degrees.copy()
     buf = rng.random(len(selection)).tolist()
-    fresh = {nbrs[v][0] for v in selection}  # old parents: drop the moving leaves
-    for p in fresh:
-        row = [w for w in nbrs[p] if w not in selection]
-        nbrs[p] = row
-        degs[p] = len(row)
     for x, (v, cands) in zip(buf, selection.items()):
         p = cands[int(x * len(cands))]
-        nbrs[v] = [p]
-        if p in fresh:
-            nbrs[p].append(v)
-        else:
-            nbrs[p] = nbrs[p] + [v]
-            fresh.add(p)
+        degs[parent[v]] -= 1
         degs[p] += 1
-    return SpanningTree(g, nbrs, degs)
+        parent[v] = p
+    return SpanningTree(g, parent, tree.root, degs)
 
 
 @dataclass
@@ -209,7 +199,7 @@ def audit_reversibility(
     base = strategy(g, tree, subset)
     violations: list[dict] = []
     for t in range(trials):
-        redone = reconfigure(g, tree, base.selection, rng, validate=False)
+        redone = reconfigure(g, tree, base.selection, rng)
         again = strategy(g, redone, subset)
         diff = _outcome_diff(base, again)
         if diff:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .exact import CapExceededError, degree_product
-from .graphs import DisconnectedGraphError, Graph, find
+from .graphs import DisconnectedGraphError, Graph, connected
 from .trees import SpanningTree
 
 _CHUNK = 65536
@@ -93,19 +93,14 @@ def tree_support(out) -> list[tuple[int, int]] | None:
     """Sorted undirected support of a one-out map (vertex v has the arc
     v -> out[v]), or None unless that support is a spanning tree."""
     n = len(out)
-    seen = set()
-    for v in range(n):
-        u = out[v]
-        seen.add((v, u) if v < u else (u, v))
+    seen = {(v, u) if v < u else (u, v) for v, u in enumerate(out)}
     if len(seen) != n - 1:
         return None
-    parent = list(range(n))
+    nbrs: list[list[int]] = [[] for _ in range(n)]
     for u, v in seen:
-        ru, rv = find(parent, u), find(parent, v)
-        if ru == rv:
-            return None
-        parent[ru] = rv
-    return sorted(seen)
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return sorted(seen) if connected(nbrs) is not None else None
 
 
 def sample_rejection_one_out(

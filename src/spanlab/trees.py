@@ -1,4 +1,4 @@
-"""Spanning trees stored as adjacency views over a host graph."""
+"""Spanning trees stored as rooted parent arrays over a host graph."""
 
 from __future__ import annotations
 
@@ -10,84 +10,100 @@ class NotATreeError(ValueError):
 
 
 class SpanningTree:
-    """A spanning tree of a host Graph.
+    """A spanning tree of a host Graph, as a rooted parent array.
 
-    Holds adjacency lists and a degree cache; never mutated after
-    construction (reconfiguration returns a fresh tree that shares the
-    rows it did not change).
+    ``parent[v]`` is v's tree neighbour toward ``root``, for every v but
+    the root; ``degrees`` holds the tree degrees.  The root is never a
+    leaf unless n = 2, where ``parent[root]`` is the other vertex, so the
+    one tree neighbour of every leaf is its ``parent`` entry.  Neighbour
+    lists are not stored: each read of ``neighbors`` builds them from the
+    parent array.  A tree is never mutated after construction
+    (reconfiguration returns a fresh one).
     """
 
-    __slots__ = ("graph", "neighbors", "degrees")
+    __slots__ = ("graph", "parent", "root", "degrees")
 
-    def __init__(self, graph: Graph, neighbors: list[list[int]], degrees: list[int]):
-        # Trusted constructor: samplers guarantee the invariants. Use
-        # from_edges() for unchecked input.
+    def __init__(self, graph: Graph, parent: list[int], root: int, degrees: list[int]):
+        # Trusted constructor: samplers guarantee the invariants, and the
+        # tree takes both lists over. Use from_edges() for unchecked input.
+        if degrees[root] == 1:
+            # A leaf root hands the root role to its one child.
+            parent[root] = -1
+            child = parent.index(root)
+            parent[root] = child
+            root = child
         self.graph = graph
-        self.neighbors = neighbors
+        self.parent = parent
         self.degrees = degrees
+        self.root = root
 
     @property
-    def n(self) -> int:
-        return self.graph.n
+    def neighbors(self) -> list[list[int]]:
+        """Tree adjacency lists, built afresh from the parent array."""
+        nbrs: list[list[int]] = [[] for _ in self.parent]
+        root = self.root
+        for v, p in enumerate(self.parent):
+            if v != root:
+                nbrs[v].append(p)
+                nbrs[p].append(v)
+        return nbrs
 
     @classmethod
     def from_edges(cls, graph: Graph, edges, validate: bool = True) -> "SpanningTree":
         n = graph.n
         nbrs: list[list[int]] = [[] for _ in range(n)]
-        count = 0
         for u, v in edges:
             if validate and not graph.has_edge(u, v):
                 raise NotATreeError(f"edge ({u},{v}) is not an edge of the host graph")
             nbrs[u].append(v)
             nbrs[v].append(u)
-            count += 1
-        tree = cls(graph, nbrs, [len(x) for x in nbrs])
-        if validate and not (count == n - 1 and tree.is_spanning_tree()):
+        degs = list(map(len, nbrs))
+        parent = connected(nbrs)
+        count = sum(degs) // 2
+        if validate and (count != n - 1 or parent is None):
             raise NotATreeError(f"{count} edges on {n} vertices do not form a spanning tree")
-        return tree
+        return cls(graph, parent, 0, degs)
 
     @classmethod
     def from_parents(cls, graph: Graph, parent, root: int) -> "SpanningTree":
-        """Build from a parent array: every vertex but ``root`` points at its parent."""
-        n = graph.n
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for v, p in enumerate(parent):
-            if v != root:
-                nbrs[v].append(p)
-                nbrs[p].append(v)
-        return cls(graph, nbrs, list(map(len, nbrs)))
+        """Build from a parent array (taken over): all but ``root`` point at their parent."""
+        degs = [1] * graph.n
+        for p in parent:
+            degs[p] += 1
+        degs[root] -= 1
+        degs[parent[root]] -= 1
+        return cls(graph, parent, root, degs)
 
     def is_spanning_tree(self) -> bool:
-        """Full invariant check: n-1 host edges, connected, acyclic."""
+        """Full invariant check: n-1 host edges, connected, degrees that match."""
         g = self.graph
-        n = g.n
-        m = sum(self.degrees)
-        if m != 2 * (n - 1):
-            return False
-        for u in range(n):
-            for v in self.neighbors[u]:
-                if u < v and not g.has_edge(u, v):
-                    return False
-        return connected(self.neighbors)
+        nbrs = self.neighbors
+        return (
+            self.degrees == list(map(len, nbrs))
+            and all(g.has_edge(u, v) for u, v in self.edges())
+            and connected(nbrs) is not None
+        )
 
     def edges(self) -> list[tuple[int, int]]:
-        return [
-            (u, v) for u in range(self.n) for v in self.neighbors[u] if u < v
-        ]
+        """The n-1 tree edges as sorted (u, v) pairs with u < v."""
+        root = self.root
+        return sorted(
+            (v, p) if v < p else (p, v) for v, p in enumerate(self.parent) if v != root
+        )
 
     def edge_key(self) -> tuple[tuple[int, int], ...]:
         """Canonical labeled identity: the sorted edge tuple."""
-        return tuple(sorted(self.edges()))
+        return tuple(self.edges())
 
     def leaves(self) -> list[int]:
         degs = self.degrees
-        return [v for v in range(self.n) if degs[v] == 1]
+        return [v for v in range(len(degs)) if degs[v] == 1]
 
     def parent_of(self, v: int) -> int:
         """The unique tree neighbour of a leaf."""
         if self.degrees[v] != 1:
             raise ValueError(f"vertex {v} has tree degree {self.degrees[v]}, not a leaf")
-        return self.neighbors[v][0]
+        return self.parent[v]
 
     def __repr__(self):
-        return f"SpanningTree(n={self.n})"
+        return f"SpanningTree(n={self.graph.n})"

@@ -57,7 +57,7 @@ def test_instance_from_selection():
     # A reconfiguration's histogram digest matches a model draw digest
     # built from the same parent choices.
     seed = 909
-    moved = sl.reconfigure(g, t, outcome.selection, sl.stream(seed), validate=False)
+    moved = sl.reconfigure(g, t, outcome.selection, sl.stream(seed))
     direct = sl.histogram_key(moved.degrees)
     picks = sample_choices(inst, sl.stream(seed))
     from spanlab.experiments import _vector_from_picks

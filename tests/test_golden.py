@@ -69,6 +69,22 @@ GOLDEN = {
         ("count-exact", "--gen", "regular:4,12"),
         "a112e1b0807126875cfc1c21f154ff44e36b89df964b0a257340f9dd061a8142",
     ),
+    # Vertex 0, the sampler's root, has degree 3 in K_{40,3}: it is a
+    # leaf of about half the trees and is selected in some trials.
+    "pipeline-root-leaf": (
+        ("experiment", "pipeline", "--gen", "bipartite:40,3", "--trials", "200",
+         "--per-trial"),
+        "90cb055c750cffcb1f8c78ccac60fd9e660d38dc2f84889f153d15fe77794b1a",
+    ),
+    "reconfigure-root-leaf": (
+        ("reconfigure", "--gen", "bipartite:40,3", "--trials", "5", "--dump-selections"),
+        "b7f2fbc45e0a3dd753c1494aa999f0c785ba8a08257203ae66f4768706e838a4",
+    ),
+    # The edge order of every listed tree.
+    "enumerate": (
+        ("enumerate", "--gen", "complete:4"),
+        "a63d84147f0cce235130159e832d5114f4d78e851ea197bdac4808d0968e9305",
+    ),
 }
 
 

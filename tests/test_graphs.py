@@ -14,6 +14,7 @@ from spanlab.graphs import (
     SelfLoopError,
     VertexOutOfRangeError,
     _pair_stubs,
+    connected,
 )
 from spanlab.reconfig import high_degree
 
@@ -179,6 +180,24 @@ def test_generate_deterministic():
 def test_gnp_min_degree_post():
     g = sl.gnp_min_degree(40, 0.3, 3, sl.stream(21))
     assert sl.check_connected_min_degree(g, 3)
+
+
+def test_connected_returns_a_search_tree_rooted_at_0():
+    for g in (sl.complete_graph(1), sl.path_graph(5), sl.cycle_graph(6),
+              sl.complete_bipartite(3, 4), sl.random_regular(3, 20, sl.stream(8))):
+        parent = connected(g.neighbors)
+        assert parent[0] == 0 and len(parent) == g.n
+        for v in range(1, g.n):
+            assert g.has_edge(v, parent[v])
+            # Following parents from any vertex reaches 0 without a repeat.
+            seen = {v}
+            while v != 0:
+                v = parent[v]
+                assert v not in seen
+                seen.add(v)
+    two_triangles = sl.build_graph([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], 6)
+    assert connected(two_triangles.neighbors) is None
+    assert connected(()) is None
 
 
 def test_check_connected_min_degree():

@@ -111,8 +111,7 @@ def test_empty_subset_gives_empty_high_branch():
     t = sl.sample_wilson(g, sl.stream(5))
     outcome = sl.select_leaves(g, t, subset())
     assert outcome.branch == HIGH_BRANCH
-    assert outcome.low_count == 0 and outcome.high_count == 0
-    assert len(outcome.selection) == 0
+    assert outcome.selection == {}
 
 
 def test_low_branch_boundary_is_inclusive():
@@ -128,7 +127,8 @@ def test_low_branch_boundary_is_inclusive():
     t2 = SpanningTree.from_edges(g2, g2.edges())
     outcome2 = sl.select_leaves(g2, t2, subset(0))
     assert outcome2.branch == HIGH_BRANCH
-    assert outcome2.low_count == 1 and outcome2.high_count == 0
+    # Leaf 0 is low-degree (1 <= 257), so the high pass has none to select.
+    assert outcome2.selection == {}
 
 
 def test_low_branch_hand_execution_on_k3_100():
@@ -191,6 +191,7 @@ def test_selection_invariants_on_random_instances():
 def test_reconfigure_empty_selection_is_identity():
     g = sl.complete_graph(5)
     t = sl.sample_wilson(g, sl.stream(1))
+    sl.validate_selection(g, t, {})
     out = sl.reconfigure(g, t, {}, sl.stream(2))
     assert out is not t
     assert out.edge_key() == t.edge_key()
@@ -200,6 +201,7 @@ def test_reconfigure_forced_choice_is_identity():
     g = sl.complete_graph(4)
     t = SpanningTree.from_edges(g, [(0, 1), (1, 2), (2, 3)])
     sel = {0: (1,)}
+    sl.validate_selection(g, t, sel)
     out = sl.reconfigure(g, t, sel, sl.stream(3))
     assert out.edge_key() == t.edge_key()
 
@@ -208,6 +210,7 @@ def test_reconfigure_star_recenters_nothing():
     g = sl.build_graph([(0, 1), (0, 2), (0, 3), (0, 4)], 5)  # star, center 0
     t = SpanningTree.from_edges(g, g.edges())
     sel = {1: (0,), 2: (0,)}
+    sl.validate_selection(g, t, sel)
     out = sl.reconfigure(g, t, sel, sl.stream(4))
     assert out.edge_key() == t.edge_key()
 
@@ -218,6 +221,7 @@ def test_reconfigure_never_mutates_input():
     before = t.edge_key()
     r = sl.sample_vertex_subset(g.n, sl.stream(7))
     outcome = sl.select_leaves(g, t, r)
+    sl.validate_selection(g, t, outcome.selection)
     for trial in range(10):
         out = sl.reconfigure(g, t, outcome.selection, sl.stream(8, trial))
         assert out.is_spanning_tree()
@@ -230,7 +234,7 @@ def test_reconfigure_choices_are_uniform():
     sel = {0: (1, 2)}
     rng = sl.stream(9)
     counts = Counter(
-        sl.reconfigure(g, t, sel, rng, validate=False).parent_of(0)
+        sl.reconfigure(g, t, sel, rng).parent_of(0)
         for _ in range(20000)
     )
     assert set(counts) == {1, 2}
@@ -239,9 +243,13 @@ def test_reconfigure_choices_are_uniform():
 
 def _random_selection(g, t, rng) -> dict[int, tuple[int, ...]]:
     """Random leaves of t, each with a random non-empty set of unselected
-    graph neighbours that includes its current parent."""
-    leaves = [v for v in t.leaves() if rng.random() < 0.5]
-    chosen = set(leaves)
+    graph neighbours that includes its current parent.  Of two adjacent
+    leaves (n = 2) only the first may be drawn."""
+    chosen = set()
+    for v in t.leaves():
+        if rng.random() < 0.5 and t.parent_of(v) not in chosen:
+            chosen.add(v)
+    leaves = sorted(chosen)
     parents = {}
     for v in leaves:
         others = [u for u in g.neighbors[v] if u not in chosen and u != t.parent_of(v)]
@@ -250,10 +258,28 @@ def _random_selection(g, t, rng) -> dict[int, tuple[int, ...]]:
     return parents
 
 
+def _assert_move_matches_reference(g, t, sel, *path):
+    """reconfigure equals the rebuild from every kept edge plus the moved
+    leaves, drawn from ``stream(*path)``, and leaves ``t`` as it was; every
+    leaf's parent entry is its one tree edge."""
+    sl.validate_selection(g, t, sel)
+    before = t.edge_key()
+    out = sl.reconfigure(g, t, sel, sl.stream(*path))
+    ref = reference_reconfigure(g, t, sel, sl.stream(*path))
+    assert out.edge_key() == ref.edge_key()
+    assert out.degrees == ref.degrees
+    assert out.is_spanning_tree()
+    edges = set(ref.edge_key())
+    for v in out.leaves():
+        p = out.parent_of(v)
+        assert ((v, p) if v < p else (p, v)) in edges
+    assert t.edge_key() == before
+    return out
+
+
 def test_reconfigure_matches_rebuild_from_scratch():
-    # The patched tree equals one rebuilt from every kept edge plus the
-    # moved leaves, drawn from the same stream, on both branches and on
-    # random selections that select_leaves would not make.
+    # On both branches and on random selections that select_leaves would
+    # not make.
     rng = np.random.default_rng(37)
     graphs = [sl.random_regular(16, 300, sl.stream(32)), sl.complete_bipartite(3, 40)]
     for i, g in enumerate(graphs):
@@ -261,17 +287,39 @@ def test_reconfigure_matches_rebuild_from_scratch():
             t = sl.sample_wilson(g, sl.stream(800, i, trial))
             r = sl.sample_vertex_subset(g.n, sl.stream(801, i, trial))
             for sel in (sl.select_leaves(g, t, r).selection, _random_selection(g, t, rng)):
-                sl.validate_selection(g, t, sel)
-                before = t.edge_key()
-                out = sl.reconfigure(g, t, sel, sl.stream(802, i, trial))
-                ref = reference_reconfigure(g, t, sel, sl.stream(802, i, trial))
-                assert out.edge_key() == ref.edge_key()
-                assert out.degrees == ref.degrees
-                assert out.degrees == [len(row) for row in out.neighbors]
-                assert out.is_spanning_tree()
-                assert t.edge_key() == before
+                _assert_move_matches_reference(g, t, sel, 802, i, trial)
             report = sl.audit_reversibility(g, t, r, trials=5, rng=sl.stream(803, i, trial))
             assert report.ok
+
+
+# Hand-built moves around the root of the parent array: (graph, parent
+# array, root, selection).  Samplers root every tree at vertex 0.
+ROOT_CASES = {
+    # 0 is a leaf hanging on 1, and it is selected.
+    "root-selected": (sl.complete_graph(4), [0, 0, 1, 1], 0, {0: (1, 2, 3)}),
+    # 0 keeps only child 1 once its leaf child 2 moves to 3 or 4.
+    "root-becomes-leaf": (sl.complete_graph(5), [0, 0, 0, 1, 1], 0, {2: (0, 3, 4)}),
+    # 0 is a selected leaf, so 1 takes the root role; 1 becomes a leaf in
+    # turn when 0 and 2 both move to 3 or 4.
+    "root-selected-and-new-leaf": (
+        sl.complete_graph(5), [0, 0, 1, 1, 3], 0, {0: (1, 3), 2: (1, 3, 4)},
+    ),
+    "n1": (sl.complete_graph(1), [0], 0, {}),
+    "n2-root": (sl.complete_graph(2), [0, 0], 0, {0: (1,)}),
+    "n2-child": (sl.complete_graph(2), [0, 0], 0, {1: (0,)}),
+    "n3-root": (sl.complete_graph(3), [0, 0, 1], 0, {0: (1, 2)}),
+    "n3-path-end": (sl.path_graph(3), [1, 1, 1], 1, {2: (1,)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_CASES))
+def test_reconfigure_around_the_root(name):
+    g, parent, root, sel = ROOT_CASES[name]
+    t = SpanningTree.from_parents(g, list(parent), root)
+    outs = {_assert_move_matches_reference(g, t, sel, 804, s).edge_key() for s in range(20)}
+    # Every candidate of a moved leaf is taken in some draw.
+    for v, cands in sel.items():
+        assert {p for key in outs for p in cands if (min(v, p), max(v, p)) in key} == set(cands)
 
 
 def test_validate_selection_rejects_bad_input():
@@ -326,7 +374,7 @@ def _corrupted_select(g, tree, sub):
     for v in tree.leaves():
         if v not in sub:
             continue
-        parent = tree.neighbors[v][0]
+        parent = tree.parent_of(v)
         if degs[v] ** 3 <= n:
             cands = candidates(g, tree, sub, LOW_BRANCH, v)
             if 2 * len(cands) >= degs[v]:
@@ -336,8 +384,8 @@ def _corrupted_select(g, tree, sub):
             if 4 * len(cands) >= degs[v]:
                 high[v] = cands if parent in cands else cands + (parent,)
     if 256 * len(low) >= n:
-        return StrategyOutcome(LOW_BRANCH, low, len(low), None)
-    return StrategyOutcome(HIGH_BRANCH, high, len(low), len(high))
+        return StrategyOutcome(LOW_BRANCH, low)
+    return StrategyOutcome(HIGH_BRANCH, high)
 
 
 def test_auditor_catches_corrupted_strategy_on_k3_50():
@@ -445,9 +493,9 @@ def _pipeline_instance(g, seed):
 def test_reconfigure_and_audit_properties(g, seed):
     tree, r = _pipeline_instance(g, seed)
     outcome = sl.select_leaves(g, tree, r)
-    out = sl.reconfigure(g, tree, outcome.selection, sl.stream(seed, rnglib.RECONF, 0),
-                         validate=True)
-    assert out.is_spanning_tree()
+    _assert_move_matches_reference(g, tree, outcome.selection, seed, rnglib.RECONF, 0)
+    picked = _random_selection(g, tree, np.random.default_rng(seed))
+    _assert_move_matches_reference(g, tree, picked, seed, rnglib.RECONF, 2)
     report = sl.audit_reversibility(g, tree, r, trials=3, rng=sl.stream(seed, rnglib.RECONF, 1))
     assert report.ok, report.violations[0]
 
