@@ -2,14 +2,19 @@
 
 The count is the determinant of the reduced Laplacian, evaluated by
 multi-modular elimination + CRT, Hadamard-bounded: the determinant is
-found modulo word-size primes in float64 arithmetic that stays exact, and
-the residues are combined by Chinese remaindering until their modulus
-exceeds twice Hadamard's bound, so results are bit-exact at any size.
-Fraction-free (Bareiss) elimination is kept as an independent oracle.
-Enumeration is contraction/deletion on an explicit stack with a cap guard.
+found modulo word-size primes, a stack of primes at a time, by one
+float64 elimination that keeps every residue balanced, |r| <= p/2 + 2, so
+that no sum it forms ever rounds; the residues are combined by Chinese
+remaindering until their modulus exceeds twice Hadamard's bound, so
+results are bit-exact at any size.  Fraction-free (Bareiss) elimination
+is kept as an independent oracle.  Enumeration is contraction/deletion
+on an explicit stack with a cap guard.
 """
 
 from __future__ import annotations
+
+import math
+from itertools import chain
 
 import numpy as np
 
@@ -17,10 +22,32 @@ from .graphs import Graph, find
 from .trees import SpanningTree
 
 # Elimination mod p runs in float64, whose integers are exact below 2**53.
-# Every partial sum is an entry below p minus at most n products of two
-# residues, so its magnitude is below n*p*p + p < 2**53 when p < 2**20 and
-# n < 2**13.
+# Residues are balanced: r = x - rint(x * (1/p)) * p.  For an integer
+# |x| <= 2**52 the computed quotient carries two roundings, so it is within
+# 1.01/p of x/p; hence |r| <= p/2 + 2, and rint(...) * p, at most |x| + p in
+# magnitude, is exact too.  Every partial sum of the elimination is one
+# entry, balanced or in [0, p), minus at most n products of two balanced
+# residues, so its magnitude is at most n*(p/2 + 2)**2 + p, below
+# 2**51 + 2**35 < 2**52 when n < 2**13 and p < 2**20.  So every partial
+# sum, in whatever order BLAS adds, is an exact integer that balances again.
 _MAX_ORDER = 2**13
+
+# Entries of at most this magnitude are exact in float64 and balance exactly.
+_NARROW = 2**52
+
+# Primes whose residues one elimination carries at once, as a (P, m, m)
+# float64 stack, so that a step costs the same numpy calls for all P.  Set
+# by measurement at n = 150 (CHANGES.md): each slice adds 8*m*m bytes to
+# peak memory, and P = 6, about 20% faster, raised count-exact's peak RSS by
+# 4.2-4.8% over per-prime elimination, against a 5% bound.
+_STACK = 4
+
+# Columns per block of the elimination.  Crout steps inside a block take
+# their products over the block's columns only; the finished block is then
+# subtracted from the rest of the matrix by one matrix product per prime.
+# Without blocks every step re-reads the whole factored part, and at
+# n = 400 the stack no longer fits in cache (CHANGES.md).
+_BLOCK = 32
 
 
 class CapExceededError(RuntimeError):
@@ -68,42 +95,11 @@ def bareiss_determinant(rows: list[list[int]]) -> int:
 
 def _primes():
     """Primes between 2**19 and 2**20, largest first."""
+    # Trial division by the odd primes below 2**10 > sqrt(p).
+    small = [d for d in range(3, 2**10, 2) if all(map(d.__mod__, range(3, math.isqrt(d) + 1, 2)))]
     for p in range(2**20 - 1, 2**19, -2):
-        if all(map(p.__mod__, range(3, 2**10, 2))):  # 2**10 > sqrt(p)
+        if all(map(p.__mod__, small)):
             yield p
-
-
-def _determinant_mod(a: np.ndarray, p: int) -> int:
-    """Determinant mod p of a float64 matrix of residues in [0, p); overwrites it.
-
-    Left-looking (Crout) LU with L unit lower and U upper, both stored in
-    ``a``.  Step k forms the pivot column of L and the pivot row of U, each
-    by one matrix-vector product against factors already reduced into
-    [0, p).  ``np.mod`` on float64 is fmod plus p for negative values, exact
-    on integers; it gets p as a float, which numpy converts faster.
-    """
-    n = len(a)
-    det = 1
-    q = float(p)
-    for k in range(n):
-        col = a[k:, k] - a[k:, :k] @ a[:k, k]
-        np.mod(col, q, out=col)
-        pivot = int(col[0])
-        if not pivot:
-            nonzero = np.flatnonzero(col)
-            if not nonzero.size:
-                return 0
-            r = int(nonzero[0])
-            a[[k, k + r]] = a[[k + r, k]]
-            col[[0, r]] = col[[r, 0]]
-            pivot = int(col[0])
-            det = -det
-        det = det * pivot % p
-        np.mod(col[1:] * float(pow(pivot, -1, p)), q, out=a[k + 1:, k])
-        row = a[k, k + 1:]
-        row -= a[k, :k] @ a[:k, k + 1:]
-        np.mod(row, q, out=row)
-    return det
 
 
 def _check_order(n: int) -> None:
@@ -113,38 +109,154 @@ def _check_order(n: int) -> None:
         )
 
 
+def _integer_matrix(rows, n: int) -> np.ndarray:
+    """``rows`` as an n x n integer array: a numpy integer array when every
+    entry is at most ``_NARROW`` in magnitude, else an object array of
+    Python ints.  Raises ValueError for any entry that is not an integer."""
+    a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+    if a.shape != (n, n):
+        raise ValueError(f"need a square matrix, got shape {a.shape}")
+    if a.dtype == object:
+        entries = a.ravel().tolist()
+        if not all(isinstance(x, (int, np.integer)) for x in entries):
+            raise ValueError("need integer entries")
+        entries = list(map(int, entries))
+        narrow = max(map(abs, entries)) <= _NARROW
+        return np.array(entries, dtype=np.int64 if narrow else object).reshape(n, n)
+    if a.dtype.kind not in "biu":
+        raise ValueError(f"need integer entries, got dtype {a.dtype}")
+    if a.min() < -_NARROW or a.max() > _NARROW:
+        return a.astype(object)
+    return a
+
+
+def _hadamard_squared(a: np.ndarray) -> int:
+    """H**2, the product of the squared row 2-norms, exactly."""
+    if a.dtype != object and int(max(-a.min(), a.max())) ** 2 * len(a) < 2**63:
+        # No row sum can overflow int64.
+        sums = np.einsum("ij,ij->i", a, a, dtype=np.int64, casting="same_kind").tolist()
+    else:
+        sums = [sum(x * x for x in row) for row in a.tolist()]
+    return math.prod(sums)
+
+
+def _balance(x, q, qinv, t, out=None) -> None:
+    """out = x - rint(x * qinv) * q, the balanced residues of the integers in
+    ``x`` (|x| <= 2**52) modulo q; ``t`` is scratch of x's shape."""
+    np.multiply(x, qinv, out=t)
+    np.rint(t, out=t)
+    np.multiply(t, q, out=t)
+    np.subtract(x, t, out=x if out is None else out)
+
+
+def _stacked_determinants(a: np.ndarray, primes: list[int], s: np.ndarray) -> list[int]:
+    """det(a) mod each prime, in [0, p), by one elimination over the stack ``s``.
+
+    ``s`` has shape (len(primes), m, m) and is overwritten.  Slice i gets
+    the residues of ``a`` mod primes[i]: numpy integers are balanced in
+    float64 in place, Python ints are reduced as integers first.  LU
+    factorisation with L unit lower and U upper, both stored in each slice,
+    then runs on all slices at once.  Step k forms the pivot column of L
+    and the pivot row of U (Crout), each by one batched matrix-vector
+    product over the columns of the current block; at a block boundary the
+    finished block is subtracted from the rest, whose entries are then
+    partial sums that balance when their column or row is formed.  A slice whose pivot is
+    0 mod its prime swaps in the first row below with a nonzero entry in
+    the column; a slice with none has determinant 0 mod its prime, and
+    from then on its pivot inverse is taken as 0, which keeps its entries
+    bounded while the other slices go on.
+    """
+    g, m = s.shape[:2]
+    q = np.array(primes, dtype=np.float64)[:, None]
+    if a.dtype != object:
+        _balance(np.broadcast_to(a, s.shape), q[:, :, None], 1.0 / q[:, :, None], s, out=s)
+    else:
+        for x, p in zip(s, primes):
+            x[...] = np.mod(a, p)
+    # Step k holds its pivot column and pivot row side by side in the first
+    # 2(m-k)-1 entries of each row of w.  Whole rows are balanced, so these
+    # calls run on contiguous arrays without broadcasting; the stale tail
+    # stays balanced.
+    w = np.zeros((g, 2 * m))
+    t = np.empty_like(w)
+    wq = np.repeat(q, 2 * m, axis=1)
+    wqinv = 1.0 / wq
+    inv = np.empty((g, 1))
+    dets = [1] * g
+    for k in range(m):
+        k0 = k - k % _BLOCK
+        if k == k0 and k:
+            for x in s:
+                x[k:, k:] -= x[k:, k - _BLOCK:k] @ x[k - _BLOCK:k, k:]
+        r = m - k
+        col, row = w[:, :r], w[:, r:2 * r - 1]
+        np.subtract(s[:, k:, k], (s[:, k:, k0:k] @ s[:, k0:k, k, None])[:, :, 0], out=col)
+        np.subtract(s[:, k, k + 1:], (s[:, k, None, k0:k] @ s[:, k0:k, k + 1:])[:, 0], out=row)
+        _balance(w, wq, wqinv, t)
+        pivots = list(map(int, w[:, 0].tolist()))
+        if 0 in pivots:
+            for i in [i for i, (v, d) in enumerate(zip(pivots, dets)) if d and not v]:
+                nonzero = np.flatnonzero(col[i])
+                if not nonzero.size:
+                    continue  # the zero pivot makes det 0 mod this prime
+                j = int(nonzero[0])
+                x = s[i]
+                x[[k, k + j]] = x[[k + j, k]]
+                col[i, [0, j]] = col[i, [j, 0]]
+                np.subtract(x[k, k + 1:], x[k, k0:k] @ x[k0:k, k + 1:], out=row[i])
+                _balance(row[i], wq[i, :r - 1], wqinv[i, :r - 1], t[i, :r - 1])
+                pivots[i] = int(col[i, 0])
+                dets[i] = -dets[i]
+        s[:, k, k + 1:] = row
+        dets = [d * v % p for d, v, p in zip(dets, pivots, primes)]
+        inv[:, 0] = [pow(v, -1, p) if d else 0 for d, v, p in zip(dets, pivots, primes)]
+        w *= inv
+        _balance(w, wq, wqinv, t)
+        s[:, k + 1:, k] = col[:, 1:]
+    return dets
+
+
+def _determinant(a: np.ndarray) -> int:
+    """Exact determinant of a matrix from ``_integer_matrix``, by CRT."""
+    h2 = _hadamard_squared(a)
+    primes, modulus = [], 1
+    candidates = _primes()
+    while modulus * modulus <= 4 * h2:
+        p = next(candidates, None)
+        if p is None:
+            raise MatrixTooLargeError("Hadamard bound exceeds the product of the primes")
+        primes.append(p)
+        modulus *= p
+    stack = np.empty((min(_STACK, len(primes)), *a.shape))
+    det, modulus = 0, 1
+    for i in range(0, len(primes), _STACK):
+        group = primes[i:i + _STACK]
+        for p, r in zip(group, _stacked_determinants(a, group, stack[:len(group)])):
+            det += modulus * ((r - det) * pow(modulus, -1, p) % p)
+            modulus *= p
+    return det - modulus if 2 * det > modulus else det
+
+
 def modular_determinant(rows) -> int:
     """Exact determinant of a square integer matrix, by elimination mod primes.
 
     Residues modulo primes below 2**20 are combined by Chinese remaindering
     until their product M exceeds 2H, where H, the product of the row
     2-norms (Hadamard's bound), bounds |det|.  The residue in (-M/2, M/2)
-    is then the determinant itself.  Raises MatrixTooLargeError from order
-    2**13 on, where the float64 elimination would stop being exact.
+    is then the determinant itself.  The residues for a stack of up to
+    ``_STACK`` primes come from one float64 elimination that keeps every
+    residue balanced, |r| <= p/2 + 2, so every sum it forms is an integer
+    below 2**52 in magnitude, exact in float64 (the bound is proved at
+    ``_MAX_ORDER``).  Raises MatrixTooLargeError from order 2**13 on,
+    where that bound would fail, and ValueError for a matrix that is not
+    square or has an entry that is not an integer (floats are refused even
+    when integral).
     """
     n = len(rows)
     if n == 0:
         return 1
     _check_order(n)
-    try:
-        a = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        a = np.array(rows, dtype=object)
-    if a.shape != (n, n):
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
-    h2 = 1  # H**2, exactly
-    for row in a.tolist():
-        h2 *= sum(x * x for x in row)
-    det, modulus = 0, 1
-    primes = _primes()
-    while modulus * modulus <= 4 * h2:
-        p = next(primes, None)
-        if p is None:
-            raise MatrixTooLargeError("Hadamard bound exceeds the product of the primes")
-        r = _determinant_mod(np.mod(a, p).astype(np.float64), p)
-        det += modulus * ((r - det) * pow(modulus, -1, p) % p)
-        modulus *= p
-    return det - modulus if 2 * det > modulus else det
+    return _determinant(_integer_matrix(rows, n))
 
 
 def count_spanning_trees(g: Graph) -> int:
@@ -155,11 +267,23 @@ def count_spanning_trees(g: Graph) -> int:
     if n == 1:
         return 1
     _check_order(n - 1)  # before allocating the (n-1)^2 matrix
-    # Reduced Laplacian: drop row/column of vertex n-1.
-    lap = np.diag(np.array(g.degrees[:-1], dtype=np.int64))
-    for u in range(n - 1):
-        lap[u, [v for v in g.neighbors[u] if v < n - 1]] = -1
-    return modular_determinant(lap)
+    return _determinant(_reduced_laplacian(g))
+
+
+def _reduced_laplacian(g: Graph) -> np.ndarray:
+    """The Laplacian without the row and column of vertex n-1.
+
+    Built in int16, indices included, which holds every vertex and degree
+    below ``_MAX_ORDER`` = 2**13 and keeps the build's temporaries small.
+    """
+    n = g.n
+    rows = np.repeat(np.arange(n - 1, dtype=np.int16), g.degrees[:-1])
+    cols = np.fromiter(chain.from_iterable(g.neighbors[:-1]), np.int16, len(rows))
+    keep = cols < n - 1
+    lap = np.zeros((n - 1, n - 1), dtype=np.int16)
+    lap[rows[keep], cols[keep]] = -1
+    np.fill_diagonal(lap, g.degrees[:-1])
+    return lap
 
 
 def degree_product(g: Graph) -> int:

@@ -1,9 +1,14 @@
+import math
+from itertools import islice
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spanlab as sl
 from spanlab import CapExceededError, MatrixTooLargeError
-from spanlab.exact import _primes
+from spanlab.exact import _BLOCK, _STACK, _hadamard_squared, _primes
 
 from helpers import (
     bareiss_count,
@@ -91,6 +96,111 @@ def test_modular_determinant_zero_residues_and_row_swaps():
         assert sl.modular_determinant(rows) == expect
     assert sl.bareiss_determinant(cases[-1]) % p == 0
     assert sl.bareiss_determinant(cases[-1]) != 0
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices of order 1-20, some singular, with entries up
+    to 2**52 (the float64 path at its bound) or wider than 2**64."""
+    n = draw(st.integers(1, 20))
+    bits = draw(st.sampled_from([3, 20, 52, 53, 70, 130]))
+    entry = st.integers(-(2**bits), 2**bits)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(-3, 3))
+        rows[i] = [c * x for x in rows[j]]
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+@example([[2 ** (10 * _STACK + 2), 1], [1, 2 ** (10 * _STACK + 2)]])  # _STACK + 1 primes
+@example([[2**52, -(2**52)], [2**52, 2**52 - 1]])
+@example([[0] * 9] * 9)
+def test_modular_determinant_matches_bareiss_property(rows):
+    expect = sl.bareiss_determinant(rows)
+    assert sl.modular_determinant(rows) == expect
+    if max(abs(x) for row in rows for x in row) < 2**63:
+        assert sl.modular_determinant(np.array(rows, dtype=np.int64)) == expect
+
+
+def _needs_full_stack(rows):
+    """The Hadamard bound needs every prime of the first stack."""
+    h2 = math.prod(sum(x * x for x in row) for row in rows)
+    return math.prod(islice(_primes(), _STACK - 1)) ** 2 <= 4 * h2
+
+
+def test_zero_pivots_in_some_slices_of_a_stack():
+    first, second, *_, last = islice(_primes(), _STACK)
+    both = second * last
+    rng = np.random.default_rng(31)
+    cases = {}  # name -> (matrix, order of the leading minor that is 0 mod both)
+
+    def big():
+        return rng.integers(-(2**40), 2**40, size=(6, 6))
+
+    m = big()
+    m[0, 0] = both * 7
+    cases["swap at step 0"] = m, 1
+    m = big()
+    m[1, :2] = m[0, :2] + both * rng.integers(1, 9, size=2)
+    cases["swap at step 1"] = m, 2
+    m = big()
+    m[:, 0] = both * rng.integers(-9, 10, size=6)
+    cases["column 0 all zero"] = m, 6
+    m = big()
+    m[:, 3] = m[:, 0] - 2 * m[:, 2] + both * rng.integers(-9, 10, size=6)
+    cases["column 3 all zero"] = m, 6
+    n = 2 * _BLOCK + 5  # the zero pivot and the dead column fall in the third block
+    k = n - 3
+    coef = rng.integers(-3, 4, size=k)
+    m = rng.integers(-(2**10), 2**10, size=(n, n))
+    m[k, :k + 1] = coef @ m[:k, :k + 1] + both * rng.integers(-9, 10, size=k + 1)
+    cases["swap in a later block"] = m, k + 1
+    m = rng.integers(-(2**10), 2**10, size=(n, n))
+    m[:, k] = m[:, :k] @ coef + both * rng.integers(-9, 10, size=n)
+    cases["column dead in a later block"] = m, n
+    wide = cases["swap at step 0"][0].tolist()
+    wide[5][5] = 2**70 + 1  # residues taken from Python ints
+    cases["swap at step 0, wide entries"] = wide, 1
+    for name, (rows, order) in cases.items():
+        rows = np.asarray(rows).tolist()
+        minor = sl.bareiss_determinant([row[:order] for row in rows[:order]])
+        assert minor % second == minor % last == 0 != minor % first, name
+        assert _needs_full_stack(rows), name
+        assert sl.modular_determinant(rows) == sl.bareiss_determinant(rows), name
+
+
+def test_primes_are_the_primes_below_2_20_largest_first():
+    sieve = np.ones(2**20, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, 2**10):
+        if sieve[d]:
+            sieve[d * d::d] = False
+    expect = np.flatnonzero(sieve[2**19:])[::-1][:1000] + 2**19
+    assert list(islice(_primes(), 1000)) == expect.tolist()
+
+
+def test_hadamard_bound_is_exact_when_int64_would_overflow():
+    assert _hadamard_squared(np.array([[2**52, 1], [1, 1]])) == (2**104 + 1) * 2
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1.5]], np.array([[2.7, 0], [0, 1]]), [[1.0]], [[1 + 0j]], [["1"]], [[None]],
+     [[2**70, 0.5], [1, 1]], np.array([[1, 0], [0, 1]], dtype=np.float32)],
+)
+def test_modular_determinant_refuses_non_integer_entries(rows):
+    with pytest.raises(ValueError, match="integer"):
+        sl.modular_determinant(rows)
+
+
+def test_modular_determinant_refuses_non_square_input():
+    with pytest.raises(ValueError, match="square"):
+        sl.modular_determinant([[1, 2], [3]])
+    with pytest.raises(ValueError, match="square"):
+        sl.modular_determinant(np.ones((2, 3), dtype=np.int64))
 
 
 def test_modular_determinant_order_limit():
