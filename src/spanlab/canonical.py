@@ -11,24 +11,15 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .exact import CapExceededError, count_spanning_trees, enumerate_spanning_trees
-from .graphs import Graph, connected
+from .graphs import Graph
 from .sampling import sample_wilson
-from .trees import NotATreeError
+from .trees import tree_neighbors
 from . import rng as rnglib
 
 
 def canonical_code(edges, n: int) -> bytes:
     """Order-invariant encoding of a tree given as an edge list."""
-    edges = list(edges)
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise NotATreeError(f"bad tree edge ({u},{v})")
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    if len(edges) != n - 1 or connected(nbrs) is None:
-        raise NotATreeError(f"{len(edges)} edges on {n} vertices do not form a tree")
-    return code_from_neighbors(nbrs)
+    return code_from_neighbors(tree_neighbors(list(edges), n)[0])
 
 
 def code_from_neighbors(nbrs) -> bytes:

@@ -357,4 +357,4 @@ def enumerate_spanning_trees(g: Graph, cap: int) -> list[SpanningTree]:
         # Branch 1: drop edge i (only if a spanning tree is still possible).
         if can_span(parents, i + 1, components):
             stack.append((parents, i + 1, chosen, components))
-    return [SpanningTree.from_edges(g, t, validate=False) for t in out]
+    return [SpanningTree.from_edges(g, t) for t in out]

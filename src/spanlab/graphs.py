@@ -6,6 +6,7 @@ sorted so that every seeded run iterates neighbours in the same order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 
@@ -45,34 +46,37 @@ class DisconnectedGraphError(GraphError):
 
 
 class Graph:
-    """Simple undirected graph; immutable after construction.
+    """Simple undirected graph, stored as its sorted neighbour tuples only.
 
-    Safe to share read-only across parallel workers.
+    Every edge is in both endpoints' tuples; ``build_graph`` is the checked
+    way in.  Immutable, so safe to share read-only across parallel workers.
     """
 
-    __slots__ = ("n", "m", "neighbors", "degrees", "_edge_set", "_connected", "_high_degree")
+    __slots__ = ("n", "m", "neighbors", "degrees", "_connected", "_high_degree")
 
-    def __init__(self, n: int, neighbors: tuple[tuple[int, ...], ...], edge_set):
-        """``edge_set`` holds every edge once, as (u, v) with u < v."""
+    def __init__(self, n: int, neighbors: tuple[tuple[int, ...], ...]):
         self.n = n
-        self.m = len(edge_set)
         self.neighbors = neighbors
-        self.degrees = tuple(len(nbrs) for nbrs in neighbors)
-        self._edge_set = frozenset(edge_set)
+        self.degrees = tuple(map(len, neighbors))
+        self.m = sum(self.degrees) // 2
         self._connected: bool | None = None
         self._high_degree: tuple[bool, ...] | None = None  # see reconfig.high_degree
 
     def __reduce__(self):
         # A pickle (one per pool task) carries the constructor's arguments,
         # not the caches: a copy recomputes those on first use.
-        return Graph, (self.n, self.neighbors, self._edge_set)
+        return Graph, (self.n, self.neighbors)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted (u, v) pairs with u < v."""
-        return sorted(self._edge_set)
+        return [(u, v) for u, nbrs in enumerate(self.neighbors) for v in nbrs if u < v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edge_set
+        if not 0 <= u < self.n:
+            return False
+        nbrs = self.neighbors[u]
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
     def min_degree(self) -> int:
         return min(self.degrees) if self.n else 0
@@ -136,7 +140,7 @@ def build_graph(edges, n: int) -> Graph:
         seen.add(key)
         adj[u].append(v)
         adj[v].append(u)
-    return Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in adj), seen)
+    return Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in adj))
 
 
 def check_connected_min_degree(g: Graph, d: int) -> bool:
@@ -153,10 +157,14 @@ def complete_graph(n: int) -> Graph:
     return build_graph([(u, v) for u in range(n) for v in range(u + 1, n)], n)
 
 
-def complete_bipartite(a: int, b: int) -> Graph:
-    """K_{a,b}: side A is 0..a-1, side B is a..a+b-1."""
+def _check_bipartite(a: int, b: int) -> None:
     if a < 1 or b < 1:
         raise InfeasibleSpecError("both bipartition sides need at least one vertex")
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    """K_{a,b}: side A is 0..a-1, side B is a..a+b-1."""
+    _check_bipartite(a, b)
     return build_graph([(u, a + v) for u in range(a) for v in range(b)], a + b)
 
 
@@ -177,6 +185,11 @@ def path_graph(n: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+def _check_regular(d: int, n: int) -> None:
+    if d < 0 or n < 1 or d >= n or (d * n) % 2 != 0:
+        raise InfeasibleSpecError(f"no simple {d}-regular graph on {n} vertices")
+
+
 def random_regular(d: int, n: int, rng, retries: int = 1000) -> Graph:
     """Random simple d-regular graph: configuration model, then edge switches.
 
@@ -188,8 +201,7 @@ def random_regular(d: int, n: int, rng, retries: int = 1000) -> Graph:
     anything built on top; connectivity is, so disconnected outcomes are
     regenerated.
     """
-    if d < 0 or n < 1 or d >= n or (d * n) % 2 != 0:
-        raise InfeasibleSpecError(f"no simple {d}-regular graph on {n} vertices")
+    _check_regular(d, n)
     for _ in range(retries):
         edges = _pair_stubs(d, n, rng)
         if edges is None:
@@ -330,15 +342,11 @@ class GraphSpec:
                 return cls("complete", (n,))
             if family == "bipartite":
                 a, b = _ints(rest, 2)
-                if a < 1 or b < 1:
-                    raise InfeasibleSpecError("bipartite:a,b needs a,b >= 1")
+                _check_bipartite(a, b)
                 return cls("bipartite", (a, b))
             if family == "regular":
                 d, n = _ints(rest, 2)
-                if d < 0 or n < 1 or d >= n or (d * n) % 2 != 0:
-                    raise InfeasibleSpecError(
-                        f"no simple {d}-regular graph on {n} vertices"
-                    )
+                _check_regular(d, n)
                 return cls("regular", (d, n))
             if family == "gnp":
                 parts = [s.strip() for s in rest.split(",")]

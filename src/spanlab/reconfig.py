@@ -141,9 +141,8 @@ def validate_selection(g: Graph, tree: SpanningTree, selection: dict) -> None:
             raise ValueError(f"vertex {v} is not a leaf of the tree")
         if tree.parent[v] not in cands:
             raise ValueError(f"current parent of {v} missing from its candidates")
-        nbrs = set(g.neighbors[v])
         for u in cands:
-            if u not in nbrs:
+            if not g.has_edge(v, u):
                 raise ValueError(f"candidate {u} is not a graph neighbour of {v}")
             if u in selection:
                 raise ValueError(f"candidate {u} of {v} is itself selected")

@@ -2,7 +2,9 @@
 
 Three independent samplers (loop-erased walk, first-entry walk, one-out
 rejection) produce exactly uniform spanning trees; keeping all three lets
-distributional claims be cross-validated against sampler bias.
+distributional claims be cross-validated against sampler bias.  Each
+builds its tree from a parent array: Wilson's successor array, the
+first-entry edges, or the accepted one-out map itself.
 """
 
 from __future__ import annotations
@@ -89,18 +91,22 @@ def sample_aldous_broder(g: Graph, rng) -> SpanningTree:
     return SpanningTree.from_parents(g, parent, root=0)
 
 
-def tree_support(out) -> list[tuple[int, int]] | None:
-    """Sorted undirected support of a one-out map (vertex v has the arc
-    v -> out[v]), or None unless that support is a spanning tree."""
-    n = len(out)
-    seen = {(v, u) if v < u else (u, v) for v, u in enumerate(out)}
-    if len(seen) != n - 1:
+def mutual_root(out) -> int | None:
+    """The smaller end r of a one-out map's one mutual pair (out[out[r]] == r)
+    when every pointer chain reaches that pair, else None.
+
+    Vertex v has the arc v -> out[v].  The support is a spanning tree
+    exactly when r exists, and then ``out`` is its parent array rooted at r.
+    """
+    mutual = [v for v, u in enumerate(out) if out[u] == v]
+    if len(mutual) != 2:
         return None
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in seen:
-        nbrs[u].append(v)
+    # One mutual pair leaves n - 1 support edges: a tree iff connected.
+    nbrs: list[list[int]] = [[] for _ in out]
+    for v, u in enumerate(out):
         nbrs[v].append(u)
-    return sorted(seen) if connected(nbrs) is not None else None
+        nbrs[u].append(v)
+    return mutual[0] if connected(nbrs) is not None else None
 
 
 def sample_rejection_one_out(
@@ -108,24 +114,22 @@ def sample_rejection_one_out(
 ) -> tuple[SpanningTree, int]:
     """Resample one-out digraphs until the support is a tree.
 
-    The accepted support is an exactly uniform spanning tree; the attempt
+    The accepted support is an exactly uniform spanning tree, and the
+    accepted map is its parent array (see ``mutual_root``); the attempt
     count exposes the acceptance rate (degree-product / tree-count effect).
     """
     if not g.is_connected():
         raise DisconnectedGraphError("sampler requires a connected graph")
     n = g.n
     if n == 1:
-        return SpanningTree.from_edges(g, [], validate=False), 1
+        return SpanningTree.from_edges(g, []), 1
     adj = g.neighbors
     draw = _draws(rng, n).__next__
     for attempt in range(1, max_attempts + 1):
-        out = [0] * n
-        for v in range(n):
-            nbrs = adj[v]
-            out[v] = nbrs[int(draw() * len(nbrs))]
-        edges = tree_support(out)
-        if edges is not None:
-            return SpanningTree.from_edges(g, edges, validate=False), attempt
+        out = [nbrs[int(draw() * len(nbrs))] for nbrs in adj]
+        r = mutual_root(out)
+        if r is not None:
+            return SpanningTree.from_parents(g, out, r), attempt
     raise AttemptsExhaustedError(
         f"no tree support in {max_attempts} one-out samples; "
         "acceptance probability is too low for this graph"
@@ -150,9 +154,10 @@ def one_out_census(g: Graph, cap: int = 10**6) -> dict[tuple, int]:
     counts: Counter[tuple] = Counter()
     idx = [0] * n
     while True:
-        edges = tree_support([adj[v][idx[v]] for v in range(n)])
-        if edges is not None:
-            counts[tuple(edges)] += 1
+        out = [adj[v][idx[v]] for v in range(n)]
+        r = mutual_root(out)
+        if r is not None:
+            counts[SpanningTree.from_parents(g, out, r).edge_key()] += 1
         # Odometer increment over the product of neighbour choices.
         v = 0
         while v < n:

@@ -9,6 +9,22 @@ class NotATreeError(ValueError):
     code = "NotATree"
 
 
+def tree_neighbors(edges: list, n: int) -> tuple[list[list[int]], list[int]]:
+    """Adjacency lists and a parent array rooted at 0 of a tree's edges.
+
+    Raises NotATreeError unless the edges form a tree on ``0..n-1``."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise NotATreeError(f"bad tree edge ({u},{v})")
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    parent = connected(nbrs)
+    if len(edges) != n - 1 or parent is None:
+        raise NotATreeError(f"{len(edges)} edges on {n} vertices do not form a tree")
+    return nbrs, parent
+
+
 class SpanningTree:
     """A spanning tree of a host Graph, as a rooted parent array.
 
@@ -25,7 +41,7 @@ class SpanningTree:
 
     def __init__(self, graph: Graph, parent: list[int], root: int, degrees: list[int]):
         # Trusted constructor: samplers guarantee the invariants, and the
-        # tree takes both lists over. Use from_edges() for unchecked input.
+        # tree takes both lists over. Use from_edges() for outside input.
         if degrees[root] == 1:
             # A leaf root hands the root role to its one child.
             parent[root] = -1
@@ -49,20 +65,15 @@ class SpanningTree:
         return nbrs
 
     @classmethod
-    def from_edges(cls, graph: Graph, edges, validate: bool = True) -> "SpanningTree":
-        n = graph.n
-        nbrs: list[list[int]] = [[] for _ in range(n)]
+    def from_edges(cls, graph: Graph, edges) -> "SpanningTree":
+        """The checked constructor: NotATreeError unless ``edges`` are
+        edges of ``graph`` that form a spanning tree of it."""
+        edges = list(edges)
+        nbrs, parent = tree_neighbors(edges, graph.n)
         for u, v in edges:
-            if validate and not graph.has_edge(u, v):
+            if not graph.has_edge(u, v):
                 raise NotATreeError(f"edge ({u},{v}) is not an edge of the host graph")
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        degs = list(map(len, nbrs))
-        parent = connected(nbrs)
-        count = sum(degs) // 2
-        if validate and (count != n - 1 or parent is None):
-            raise NotATreeError(f"{count} edges on {n} vertices do not form a spanning tree")
-        return cls(graph, parent, 0, degs)
+        return cls(graph, parent, 0, list(map(len, nbrs)))
 
     @classmethod
     def from_parents(cls, graph: Graph, parent, root: int) -> "SpanningTree":
@@ -75,14 +86,11 @@ class SpanningTree:
         return cls(graph, parent, root, degs)
 
     def is_spanning_tree(self) -> bool:
-        """Full invariant check: n-1 host edges, connected, degrees that match."""
-        g = self.graph
-        nbrs = self.neighbors
-        return (
-            self.degrees == list(map(len, nbrs))
-            and all(g.has_edge(u, v) for u, v in self.edges())
-            and connected(nbrs) is not None
-        )
+        """Full invariant check: the edges pass from_edges, the degrees match."""
+        try:
+            return SpanningTree.from_edges(self.graph, self.edges()).degrees == self.degrees
+        except NotATreeError:
+            return False
 
     def edges(self) -> list[tuple[int, int]]:
         """The n-1 tree edges as sorted (u, v) pairs with u < v."""

@@ -170,7 +170,7 @@ def reference_reconfigure(g: Graph, tree: SpanningTree, selection, rng) -> Spann
         buf = rng.random(len(selection)).tolist()
         for x, (v, cands) in zip(buf, selection.items()):
             edges.append((v, cands[int(x * len(cands))]))
-    return SpanningTree.from_edges(g, edges, validate=False)
+    return SpanningTree.from_edges(g, edges)
 
 
 def brute_count_spanning_trees(g: Graph) -> int:

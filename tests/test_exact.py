@@ -209,7 +209,7 @@ def test_modular_determinant_order_limit():
         sl.modular_determinant([row] * 2**13)
 
 
-@pytest.mark.parametrize("a,b", [(1, 4), (2, 3), (3, 397)])
+@pytest.mark.parametrize("a,b", [(1, 4), (2, 3), (3, 397), (8, 200)])
 def test_complete_bipartite_closed_form(a, b):
     assert sl.count_spanning_trees(sl.complete_bipartite(a, b)) == a ** (b - 1) * b ** (a - 1)
 
@@ -228,7 +228,8 @@ def test_c03_corpus_counts_match_bareiss(small_random_graphs, reversibility_fami
         sl.random_regular(4, 50, sl.stream(SEED, 93)),
         sl.gnp_min_degree(40, 0.2, 3, sl.stream(SEED, 94)),
     ]
-    corpus += list(reversibility_families.values())
+    # K_{8,200} is checked against its closed form above: Bareiss on it is slow.
+    corpus += [g for name, g in reversibility_families.items() if name != "K_{8,200}"]
     for g in corpus:
         assert sl.count_spanning_trees(g) == bareiss_count(g)
 

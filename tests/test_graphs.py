@@ -36,6 +36,7 @@ def test_pickle_keeps_the_graph_and_drops_its_caches():
     assert copy.edges() == g.edges()
     assert copy._connected is None and copy._high_degree is None
     assert len(pickle.dumps(copy)) == len(pickle.dumps(g))
+    assert g.__reduce__()[1] == (g.n, g.neighbors)
 
 
 def test_duplicate_edge_rejected():
@@ -165,7 +166,10 @@ def test_graph_keeps_the_validated_edge_set():
     assert g.m == 3
     assert g.edges() == [(0, 2), (0, 3), (1, 2)]
     assert all(g.has_edge(v, u) and g.has_edge(u, v) for u, v in g.edges())
-    assert not g.has_edge(1, 3)
+    assert not g.has_edge(1, 3) and not g.has_edge(3, 1)
+    # Python lists wrap negative indexes; vertices outside 0..n-1 have no edges.
+    for u in (-1, g.n):
+        assert not any(g.has_edge(u, v) or g.has_edge(v, u) for v in range(-1, g.n + 1))
 
 
 def test_generate_deterministic():

@@ -1,13 +1,14 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
 import spanlab as sl
 from spanlab import AttemptsExhaustedError, CapExceededError
-from spanlab.sampling import SAMPLERS, tree_support
+from spanlab.sampling import SAMPLERS, mutual_root
 
-from helpers import random_connected_graph
+from helpers import _is_tree, random_connected_graph
 
 ALL_SAMPLERS = sorted(SAMPLERS)
 
@@ -37,31 +38,46 @@ def test_triangle_support():
 
 
 def test_support_examples():
-    # One-out maps on the triangle: v points at out[v].
-    assert tree_support((1, 0, 0)) == [(0, 1), (0, 2)]
-    assert tree_support((1, 2, 0)) is None  # support is the whole cycle
+    # One-out maps: v points at out[v].
+    tri = sl.cycle_graph(3)
+    assert mutual_root([1, 0, 0]) == 0
+    assert sl.SpanningTree.from_parents(tri, [1, 0, 0], 0).edges() == [(0, 1), (0, 2)]
+    assert mutual_root([1, 2, 0]) is None  # support is the whole cycle
+    # A mutual pair plus a separate 3-cycle: n - 1 support edges, disconnected.
+    assert mutual_root([1, 0, 4, 2, 3]) is None
+    assert mutual_root([1, 0, 3, 2]) is None  # two mutual pairs
 
 
 def test_digraph_oriented_toward_doubled_edge_is_tree():
     # Direct one tree edge both ways and every other edge toward it.
     tree_edges = [(0, 1), (1, 2), (2, 3), (2, 4)]
+    g = sl.build_graph(tree_edges, 5)
     for u, v in tree_edges:
-        nbrs = {w: [] for w in range(5)}
-        for a, b in tree_edges:
-            nbrs[a].append(b)
-            nbrs[b].append(a)
         out = [None] * 5
         out[u], out[v] = v, u
         # Orient remaining vertices along their unique path toward {u, v}.
         order = [u, v]
         seen = {u, v}
         for w in order:
-            for x in nbrs[w]:
+            for x in g.neighbors[w]:
                 if x not in seen:
                     out[x] = w
                     seen.add(x)
                     order.append(x)
-        assert tree_support(out) == sorted(tree_edges)
+        assert mutual_root(out) == min(u, v)
+        assert sl.SpanningTree.from_parents(g, out, min(u, v)).edges() == tree_edges
+
+
+@pytest.mark.parametrize(
+    "g", [sl.complete_graph(5), sl.complete_bipartite(2, 3), sl.cycle_graph(6)], ids=repr
+)
+def test_mutual_root_accepts_exactly_the_tree_supports(g):
+    for out in product(*g.neighbors):
+        support = {(v, u) if v < u else (u, v) for v, u in enumerate(out)}
+        r = mutual_root(out)
+        assert (r is not None) == (len(support) == g.n - 1 and _is_tree(support, g.n))
+        if r is not None:
+            assert sl.SpanningTree.from_parents(g, list(out), r).edges() == sorted(support)
 
 
 def test_one_out_census_small_graphs():
