@@ -60,6 +60,7 @@ from .reconfig import (
 from .canonical import (
     canonical_code,
     code_from_neighbors,
+    code_from_parents,
     count_non_isomorphic,
     histogram_key,
 )

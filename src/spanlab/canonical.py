@@ -2,7 +2,9 @@
 
 Codes are nested-parenthesis byte strings rooted at the tree's center
 (the lexicographically smaller encoding when there are two centers), so
-two trees get equal codes exactly when they are isomorphic.
+two trees get equal codes exactly when they are isomorphic.  One kernel,
+``code_from_parents``, computes them from a tree's parent array; edge
+lists and adjacency lists are turned into a parent array first.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .exact import CapExceededError, count_spanning_trees, enumerate_spanning_trees
-from .graphs import Graph
+from .graphs import Graph, connected
 from .sampling import sample_wilson
 from .trees import tree_neighbors
 from . import rng as rnglib
@@ -19,75 +21,116 @@ from . import rng as rnglib
 
 def canonical_code(edges, n: int) -> bytes:
     """Order-invariant encoding of a tree given as an edge list."""
-    return code_from_neighbors(tree_neighbors(list(edges), n)[0])
+    nbrs, parent = tree_neighbors(list(edges), n)
+    return code_from_parents(parent, 0, list(map(len, nbrs)))
 
 
 def code_from_neighbors(nbrs) -> bytes:
+    """``code_from_parents`` of a tree given as adjacency lists (trusted)."""
+    parent = connected(nbrs) or []  # None only when n = 0
+    return code_from_parents(parent, 0, list(map(len, nbrs)))
+
+
+def code_from_parents(parent, root: int, degrees) -> bytes:
     """AHU encoding rooted at the tree center; input is trusted to be a tree.
+
+    ``parent[v]`` is v's tree neighbour toward ``root`` for every v but the
+    root (``parent[root]`` is never read), and ``degrees`` holds the tree
+    degrees.  Any root will do, a leaf included; neither list is changed.
 
     One pass: stripping leaves layer by layer reaches the center, and a
     vertex's children are exactly its neighbours stripped before it, so
     each vertex's code is built as it is stripped and handed to the one
-    neighbour still left.  ``b"()"`` sorts after every other code, so
-    leaf children are only counted and go last.  With two centers each
-    half is built once; the whole tree rooted at either center is that
-    center's half with the other half added as a child, and the smaller
-    of the two encodings wins.
+    neighbour still left.  A leaf other than the root hangs on its parent
+    entry.  Every inner vertex keeps the XOR of its inner neighbours and
+    takes each stripped one out of it, so once one neighbour is left the
+    XOR names it.  ``b"()"`` sorts after every other code, so leaf
+    children are only counted and go last; a vertex with leaf children
+    only takes its code from a table.  With two centers each half is
+    built once; the whole tree rooted at either center is that center's
+    half with the other half added as a child, and the smaller of the two
+    encodings wins.
     """
-    n = len(nbrs)
+    n = len(parent)
     if n < 3:
         return (b"", b"()", b"(())")[n]
-    deg = list(map(len, nbrs))
+    link = [0] * n  # XOR of the inner neighbours not stripped yet
+    leaves = []
+    for v, d in enumerate(degrees):
+        if d == 1:
+            leaves.append(v)
+        elif v != root:
+            p = parent[v]
+            link[v] ^= p
+            link[p] ^= v
+    if degrees[root] == 1:
+        # The root's one neighbour is its child, which holds the root in
+        # its XOR; every other leaf hangs on its parent entry.
+        child = link[root]
+        link[child] ^= root
+        hang = Counter(parent[v] for v in leaves if v != root)
+        hang[child] += 1
+    else:
+        hang = Counter(map(parent.__getitem__, leaves))
     leaf_kids = [0] * n
-    kids: list[list[bytes] | None] = [None] * n  # codes of non-leaf children
-    leaves = [u for u in range(n) if deg[u] == 1]
+    deg = list(degrees)  # neighbours not stripped yet
     layer = []
-    for u in leaves:
-        deg[u] = 0
-        p = nbrs[u][0]
-        leaf_kids[p] += 1
-        d = deg[p]
-        deg[p] = d - 1
-        if d == 2:
+    for p, k in hang.items():
+        leaf_kids[p] = k
+        d = deg[p] - k
+        deg[p] = d
+        if d <= 1:
             layer.append(p)
+    stars = _leaf_parent_codes(max(hang.values()))
+    kids: list[list[bytes] | None] = [None] * n  # codes of inner children
     remaining = n - len(leaves)
     while len(layer) < remaining:
         remaining -= len(layer)
         nxt = []
         for u in layer:
-            deg[u] = 0
-            code = _wrap(kids[u], leaf_kids[u])
-            for p in nbrs[u]:
-                d = deg[p]
-                if d:
-                    deg[p] = d - 1
-                    if d == 2:
-                        nxt.append(p)
-                    ks = kids[p]
-                    if ks is None:
-                        kids[p] = [code]
-                    else:
-                        ks.append(code)
-                    break
+            code = _wrap(kids[u], leaf_kids[u], stars)
+            p = link[u]
+            link[p] ^= u
+            ks = kids[p]
+            if ks is None:
+                kids[p] = [code]
+            else:
+                ks.append(code)
+            d = deg[p] - 1
+            deg[p] = d
+            if d == 1:
+                nxt.append(p)
         layer = nxt
     if len(layer) == 1:
         c = layer[0]
-        return _wrap(kids[c], leaf_kids[c])
+        return _wrap(kids[c], leaf_kids[c], stars)
     a, b = layer
-    half_a = _wrap(kids[a], leaf_kids[a])
-    half_b = _wrap(kids[b], leaf_kids[b])
+    half_a = _wrap(kids[a], leaf_kids[a], stars)
+    half_b = _wrap(kids[b], leaf_kids[b], stars)
     return min(
-        _wrap((kids[a] or []) + [half_b], leaf_kids[a]),
-        _wrap((kids[b] or []) + [half_a], leaf_kids[b]),
+        _wrap((kids[a] or []) + [half_b], leaf_kids[a], stars),
+        _wrap((kids[b] or []) + [half_a], leaf_kids[b], stars),
     )
 
 
-def _wrap(kids, leaf_kids: int) -> bytes:
-    """Code of a vertex from its non-leaf child codes and leaf-child count."""
+def _wrap(kids, leaf_kids: int, stars) -> bytes:
+    """Code of a vertex from its inner child codes and leaf-child count."""
     if kids is None:
-        return b"(" + b"()" * leaf_kids + b")"
+        return stars[leaf_kids]
     kids.sort()
     return b"(" + b"".join(kids) + b"()" * leaf_kids + b")"
+
+
+# Entry k is the code of a vertex whose children are k leaves.
+_LEAF_PARENT_CODES = [b"()"]
+
+
+def _leaf_parent_codes(k: int) -> list[bytes]:
+    """The table of leaf-parent codes, grown to hold entry k."""
+    codes = _LEAF_PARENT_CODES
+    for i in range(len(codes), k + 1):
+        codes.append(b"(" + b"()" * i + b")")
+    return codes
 
 
 def histogram_key(degrees) -> tuple[tuple[int, int], ...]:
@@ -122,7 +165,7 @@ def count_non_isomorphic(
                 f"{total} spanning trees exceed the exact-mode budget {budget}"
             )
         trees = enumerate_spanning_trees(g, budget)
-        codes = {code_from_neighbors(t.neighbors) for t in trees}
+        codes = {code_from_parents(t.parent, t.root, t.degrees) for t in trees}
         return NonIsoCountReport(
             mode="exact",
             distinct=len(codes),
@@ -133,10 +176,8 @@ def count_non_isomorphic(
         )
     if mode == "sampled":
         master = rnglib.resolve_seed(seed)
-        seen = Counter(
-            code_from_neighbors(sample_wilson(g, rnglib.stream(master, rnglib.TREE, t)).neighbors)
-            for t in range(budget)
-        )
+        trees = (sample_wilson(g, rnglib.stream(master, rnglib.TREE, t)) for t in range(budget))
+        seen = Counter(code_from_parents(t.parent, t.root, t.degrees) for t in trees)
         singletons = sum(1 for c in seen.values() if c == 1)
         unseen = singletons / budget if budget else 1.0
         return NonIsoCountReport(

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng as rnglib
-from .canonical import code_from_neighbors, histogram_key
+from .canonical import code_from_parents, histogram_key
 from .exact import CapExceededError, enumerate_spanning_trees
 from .graphs import Graph, complete_bipartite
 from .reconfig import sample_vertex_subset, select_leaves, reconfigure
@@ -286,7 +286,7 @@ def _pipeline_chunk(args):
         rows.append(
             (
                 histogram_key(redone.degrees),
-                code_from_neighbors(redone.neighbors),
+                code_from_parents(redone.parent, redone.root, redone.degrees),
                 outcome.branch,
             )
         )

@@ -52,7 +52,9 @@ class Graph:
     way in.  Immutable, so safe to share read-only across parallel workers.
     """
 
-    __slots__ = ("n", "m", "neighbors", "degrees", "_connected", "_high_degree")
+    __slots__ = (
+        "n", "m", "neighbors", "degrees", "_connected", "_high_degree", "_low_neighbors"
+    )
 
     def __init__(self, n: int, neighbors: tuple[tuple[int, ...], ...]):
         self.n = n
@@ -61,6 +63,7 @@ class Graph:
         self.m = sum(self.degrees) // 2
         self._connected: bool | None = None
         self._high_degree: tuple[bool, ...] | None = None  # see reconfig.high_degree
+        self._low_neighbors: tuple[tuple[int, ...], ...] | None = None  # reconfig.low_neighbors
 
     def __reduce__(self):
         # A pickle (one per pool task) carries the constructor's arguments,

@@ -8,6 +8,11 @@ two tree neighbours outside R.  The rule is reversible: recomputing it on
 any reachable reconfigured tree reproduces the same selection, which is
 what makes the reconfigured tree uniform again.
 
+The low-degree rule reads two per-graph tables (``high_degree`` and
+``low_neighbors``): only a leaf's low-degree neighbours in R are barred.
+The high-degree rule counts tree neighbours outside R once per
+selection (``may_parent``).
+
 All threshold comparisons are exact integer comparisons (d > n**(1/3) is
 evaluated as d**3 > n, and so on); floating-point rounding here could
 silently break reversibility.
@@ -62,21 +67,28 @@ def high_degree(g: Graph) -> tuple[bool, ...]:
     return table
 
 
-def may_parent(g: Graph, tree: SpanningTree, subset: frozenset, branch: str) -> list[bool]:
-    """Per vertex, whether it may be a parent of a leaf selected on ``branch``.
+def low_neighbors(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Per vertex, its neighbours u with deg(u)^3 <= n, in increasing order.
 
-    ``u`` may be a parent iff it lies outside the subset or is safe for
-    the branch.  Low-degree branch: safe means deg(u)^3 > n (such vertices
-    are never selected there).  High-degree branch: safe means ``u`` keeps
-    at least two tree neighbours outside the subset, so it stays an inner
-    vertex whatever the selected leaves do.
+    These are the only neighbours a subset can bar from being the parent
+    of a low-degree leaf.  A constant of the graph, computed on first use
+    and kept on it.
     """
-    if branch == LOW_BRANCH:
-        ok = [True] * g.n
+    table = g._low_neighbors
+    if table is None:
         is_high = high_degree(g)
-        for u in subset:
-            ok[u] = is_high[u]
-        return ok
+        table = g._low_neighbors = tuple(
+            [tuple([u for u in nbrs if not is_high[u]]) for nbrs in g.neighbors]
+        )
+    return table
+
+
+def may_parent(g: Graph, tree: SpanningTree, subset: frozenset) -> list[bool]:
+    """Per vertex, whether it may be a parent of a leaf selected on the
+    high-degree branch: it lies outside the subset or keeps at least two
+    tree neighbours outside it, so it stays an inner vertex whatever the
+    selected leaves do.
+    """
     # One pass over the tree edges (v, parent[v]): each edge with exactly
     # one end in the subset leaves it at that end.
     n = g.n
@@ -94,32 +106,54 @@ def select_leaves(g: Graph, tree: SpanningTree, subset: frozenset) -> StrategyOu
     """Pick the reconfigurable leaves of ``tree`` for the given subset.
 
     A leaf in the subset is selected when its current parent may stay a
-    parent and at least a share of its neighbourhood may be a parent (see
-    ``may_parent``).  The low-degree pass (leaves with deg^3 <= n, half
-    the neighbourhood) wins when it captures at least n/256 leaves;
-    otherwise the high-degree pass (quarter-neighbourhood threshold) is
-    used.
+    parent and at least a share of its neighbourhood may be a parent.  The
+    low-degree pass (leaves with deg^3 <= n, half the neighbourhood) wins
+    when it captures at least n/256 leaves; otherwise the high-degree pass
+    (quarter-neighbourhood threshold, see ``may_parent``) is used.
     """
     n = g.n
     is_high = high_degree(g)
-    low_leaves: list[int] = []
-    high_leaves: list[int] = []
-    for v in tree.leaves():
-        if v in subset:
-            (high_leaves if is_high[v] else low_leaves).append(v)
-
-    low = {}
-    if low_leaves:
-        low = _select(g, tree, low_leaves, may_parent(g, tree, subset, LOW_BRANCH), 2)
+    degs = tree.degrees
+    # The subset's leaves in vertex order: the order of the selection.
+    inside = sorted([v for v in subset if degs[v] == 1])
+    low_leaves = [v for v in inside if not is_high[v]]
+    low = _select_low(g, tree, low_leaves, subset) if low_leaves else {}
     if SELECTION_DENOMINATOR * len(low) >= n:
         return StrategyOutcome(LOW_BRANCH, low)
     # The outside counts behind the high rule are only paid for here.
-    high = _select(g, tree, high_leaves, may_parent(g, tree, subset, HIGH_BRANCH), 4)
+    high_leaves = [v for v in inside if is_high[v]]
+    high = _select_high(g, tree, high_leaves, may_parent(g, tree, subset))
     return StrategyOutcome(HIGH_BRANCH, high)
 
 
-def _select(g: Graph, tree: SpanningTree, leaves, ok, share: int) -> dict:
-    """The leaves whose parent is ``ok`` and that keep at least 1/share of
+def _select_low(g: Graph, tree: SpanningTree, leaves, subset: frozenset) -> dict:
+    """The low-degree rule: a vertex may be a parent unless it is a
+    low-degree vertex in the subset.  Each leaf whose parent may stay and
+    that keeps at least half its neighbours is mapped to those neighbours.
+
+    Only a leaf's low-degree neighbours in the subset are barred, so a leaf
+    with none of them keeps its whole neighbour tuple.
+    """
+    gn = g.neighbors
+    degs = g.degrees
+    parent = tree.parent
+    lows = low_neighbors(g)
+    selection: dict[int, tuple[int, ...]] = {}
+    for v in leaves:
+        barred = lows[v]
+        if barred:
+            barred = subset.intersection(barred)
+        if not barred:
+            selection[v] = gn[v]
+        elif parent[v] not in barred:
+            cands = tuple([u for u in gn[v] if u not in barred])
+            if 2 * len(cands) >= degs[v]:
+                selection[v] = cands
+    return selection
+
+
+def _select_high(g: Graph, tree: SpanningTree, leaves, ok) -> dict:
+    """The leaves whose parent is ``ok`` and that keep at least a quarter of
     their neighbours ``ok``, each mapped to those neighbours."""
     gn = g.neighbors
     degs = g.degrees
@@ -129,7 +163,7 @@ def _select(g: Graph, tree: SpanningTree, leaves, ok, share: int) -> dict:
         if not ok[parent[v]]:
             continue
         cands = tuple([u for u in gn[v] if ok[u]])
-        if share * len(cands) >= degs[v]:
+        if 4 * len(cands) >= degs[v]:
             selection[v] = cands
     return selection
 

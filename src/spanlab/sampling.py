@@ -4,7 +4,9 @@ Three independent samplers (loop-erased walk, first-entry walk, one-out
 rejection) produce exactly uniform spanning trees; keeping all three lets
 distributional claims be cross-validated against sampler bias.  Each
 builds its tree from a parent array: Wilson's successor array, the
-first-entry edges, or the accepted one-out map itself.
+first-entry edges, or the accepted one-out map itself.  Wilson's walks
+read one uniform float per step, in a fixed order, whatever shortcut the
+loop takes, so a given stream always gives the same tree.
 """
 
 from __future__ import annotations
@@ -44,7 +46,12 @@ def _batches(rng, chunk: int):
 
 
 def sample_wilson(g: Graph, rng) -> SpanningTree:
-    """Uniform spanning tree via loop-erased random walks to a growing tree."""
+    """Uniform spanning tree via loop-erased random walks to a growing tree.
+
+    Each walk starts with its first step out of the start vertex; when that
+    step lands in the tree, the vertex joins it on that one draw, with no
+    walk to retrace.
+    """
     if not g.is_connected():
         raise DisconnectedGraphError("sampler requires a connected graph")
     n = g.n
@@ -55,7 +62,12 @@ def sample_wilson(g: Graph, rng) -> SpanningTree:
     in_tree = bytearray(n)
     in_tree[0] = 1
     for i in range(n):
-        u = i
+        if in_tree[i]:
+            continue
+        u = nxt[i] = adj[i][int(draw() * degs[i])]
+        if in_tree[u]:
+            in_tree[i] = 1
+            continue
         while not in_tree[u]:
             # Overwriting nxt[u] on revisit erases loops in place.
             v = adj[u][int(draw() * degs[u])]

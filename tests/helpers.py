@@ -12,7 +12,11 @@ column in one call), streams are seeded through ``SeedSequence`` itself
 (the library reproduces its hash in Python ints), subsets and degree
 histograms are built one element at a time (the library builds them in
 C-level calls), and random trees come from uniform parent-sequence
-decoding.
+decoding.  A whole pipeline trial is rebuilt the way it was first
+written: Wilson walks retraced after every walk with floats read one at
+a time, selection from n-long may-parent lists on both branches, and
+codes from neighbour lists (the library walks once, reads a per-graph
+table of low-degree neighbours, and codes the parent array).
 """
 
 from __future__ import annotations
@@ -23,7 +27,16 @@ from itertools import combinations, permutations
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
-from spanlab import Graph, SpanningTree, bareiss_determinant, build_graph
+from spanlab import (
+    HIGH_BRANCH,
+    LOW_BRANCH,
+    Graph,
+    SpanningTree,
+    StrategyOutcome,
+    bareiss_determinant,
+    build_graph,
+)
+from spanlab import rng as rnglib
 
 
 def reference_stream(master: int, *path: int) -> Generator:
@@ -171,6 +184,76 @@ def reference_reconfigure(g: Graph, tree: SpanningTree, selection, rng) -> Spann
         for x, (v, cands) in zip(buf, selection.items()):
             edges.append((v, cands[int(x * len(cands))]))
     return SpanningTree.from_edges(g, edges)
+
+
+def reference_wilson(g: Graph, rng) -> SpanningTree:
+    """Wilson's loop-erased walks: every walk steps one float at a time from
+    its start vertex until it hits the tree, then is retraced."""
+    n = g.n
+    nxt = [0] * n
+    in_tree = [False] * n
+    in_tree[0] = True
+    for i in range(n):
+        u = i
+        while not in_tree[u]:
+            nbrs = g.neighbors[u]
+            nxt[u] = nbrs[int(rng.random() * len(nbrs))]
+            u = nxt[u]
+        u = i
+        while not in_tree[u]:
+            in_tree[u] = True
+            u = nxt[u]
+    return SpanningTree.from_parents(g, nxt, 0)
+
+
+def reference_may_parent(g: Graph, tree: SpanningTree, subset, branch: str) -> list[bool]:
+    """Per vertex, whether it may parent a leaf selected on ``branch``: it is
+    outside the subset, or has deg^3 > n (low branch), or keeps two tree
+    neighbours outside the subset (high branch)."""
+    n = g.n
+    if branch == LOW_BRANCH:
+        return [u not in subset or g.degrees[u] ** 3 > n for u in range(n)]
+    outside = [0] * n
+    for u, w in tree.edges():
+        if (u in subset) != (w in subset):
+            outside[u if u in subset else w] += 1
+    return [u not in subset or outside[u] >= 2 for u in range(n)]
+
+
+def reference_select_leaves(g: Graph, tree: SpanningTree, subset) -> StrategyOutcome:
+    """The selection rule, each branch read off its may-parent list."""
+    n = g.n
+    inside = [v for v in tree.leaves() if v in subset]
+
+    def pick(leaves, branch, share):
+        ok = reference_may_parent(g, tree, subset, branch)
+        selection = {}
+        for v in leaves:
+            cands = tuple(u for u in g.neighbors[v] if ok[u])
+            if ok[tree.parent_of(v)] and share * len(cands) >= g.degrees[v]:
+                selection[v] = cands
+        return selection
+
+    low = pick([v for v in inside if g.degrees[v] ** 3 <= n], LOW_BRANCH, 2)
+    if 256 * len(low) >= n:
+        return StrategyOutcome(LOW_BRANCH, low)
+    high = pick([v for v in inside if g.degrees[v] ** 3 > n], HIGH_BRANCH, 4)
+    return StrategyOutcome(HIGH_BRANCH, high)
+
+
+def reference_trial(g: Graph, master: int, t: int) -> tuple:
+    """Trial t of the pipeline as a row (histogram, code, branch), built
+    from the oracles above."""
+    tree = reference_wilson(g, reference_stream(master, rnglib.TREE, t))
+    subset = reference_vertex_subset(g.n, reference_stream(master, rnglib.SUBSET, t))
+    outcome = reference_select_leaves(g, tree, subset)
+    rng = reference_stream(master, rnglib.RECONF, t)
+    redone = reference_reconfigure(g, tree, outcome.selection, rng)
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for u, w in redone.edges():
+        nbrs[u].append(w)
+        nbrs[w].append(u)
+    return reference_histogram_key(redone.degrees), reference_code(nbrs), outcome.branch
 
 
 def brute_count_spanning_trees(g: Graph) -> int:

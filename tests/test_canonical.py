@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import spanlab as sl
 from spanlab import CapExceededError, NotATreeError
-from spanlab.canonical import code_from_neighbors
+from spanlab.canonical import code_from_neighbors, code_from_parents
 
 from helpers import (
     brute_isomorphic,
@@ -43,6 +43,60 @@ def pruefer_trees(draw):
 @given(pruefer_trees())
 def test_code_matches_reference_on_pruefer_trees(nbrs):
     assert code_from_neighbors(nbrs) == reference_code(nbrs)
+
+
+def _oriented(nbrs, root):
+    """A parent array of the tree pointing every vertex but ``root`` toward it."""
+    parent = [-1] * len(nbrs)
+    order = [root]
+    for u in order:
+        for v in nbrs[u]:
+            if v != root and parent[v] < 0:
+                parent[v] = u
+                order.append(v)
+    return parent
+
+
+@st.composite
+def rooted_trees(draw):
+    """(neighbour lists, parent array, root) of a tree on 1..60 vertices:
+    a Pruefer tree, a star, a path or two adjacent centres sharing the other
+    vertices, randomly labelled and rooted at any vertex, leaves included.
+    ``parent[root]`` holds an arbitrary vertex."""
+    n = draw(st.integers(1, 60))
+    shape = draw(st.sampled_from(["pruefer", "star", "path", "two-centre"]))
+    if shape == "pruefer":
+        size = max(n - 2, 0)
+        seq = draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+        edges = prufer_tree_edges(n, seq)
+    elif shape == "star":
+        edges = [(0, v) for v in range(1, n)]
+    elif shape == "path":
+        edges = [(v, v + 1) for v in range(n - 1)]
+    else:
+        k = draw(st.integers(2, max(n, 2)))
+        edges = [(0, 1)][: n - 1] + [(0, v) for v in range(2, k)] + [(1, v) for v in range(k, n)]
+    edges = relabel_edges(edges, draw(st.permutations(range(n))))
+    nbrs = _neighbors(edges, n)
+    root = draw(st.integers(0, n - 1))
+    parent = _oriented(nbrs, root)
+    parent[root] = draw(st.integers(0, n - 1))
+    return nbrs, parent, root
+
+
+@settings(max_examples=400, deadline=None)
+@given(rooted_trees())
+def test_code_from_parents_matches_reference(tree):
+    nbrs, parent, root = tree
+    degrees = [len(row) for row in nbrs]
+    before = (list(parent), list(degrees))
+    assert code_from_parents(parent, root, degrees) == reference_code(nbrs)
+    assert (parent, degrees) == before
+    # The adapter roots at vertex 0; relabel a leaf to 0 so it roots at a leaf.
+    leaf = degrees.index(1) if 1 in degrees else 0
+    swap = {0: leaf, leaf: 0}
+    relabelled = [sorted(swap.get(u, u) for u in nbrs[swap.get(v, v)]) for v in range(len(nbrs))]
+    assert code_from_neighbors(relabelled) == reference_code(nbrs)
 
 
 def _spider(legs):

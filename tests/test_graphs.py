@@ -16,7 +16,7 @@ from spanlab.graphs import (
     _pair_stubs,
     connected,
 )
-from spanlab.reconfig import high_degree
+from spanlab.reconfig import high_degree, low_neighbors
 
 from helpers import reference_double_edge_switches
 
@@ -30,11 +30,11 @@ def test_triangle_build():
 def test_pickle_keeps_the_graph_and_drops_its_caches():
     g = sl.complete_bipartite(3, 30)
     assert g.is_connected()
-    assert any(high_degree(g))  # both caches are filled now
+    assert any(high_degree(g)) and any(low_neighbors(g))  # every cache is filled now
     copy = pickle.loads(pickle.dumps(g))
     assert (copy.n, copy.m, copy.neighbors, copy.degrees) == (g.n, g.m, g.neighbors, g.degrees)
     assert copy.edges() == g.edges()
-    assert copy._connected is None and copy._high_degree is None
+    assert copy._connected is None and copy._high_degree is None and copy._low_neighbors is None
     assert len(pickle.dumps(copy)) == len(pickle.dumps(g))
     assert g.__reduce__()[1] == (g.n, g.neighbors)
 

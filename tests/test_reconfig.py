@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 import spanlab as sl
 from spanlab import HIGH_BRANCH, LOW_BRANCH, SpanningTree, StrategyOutcome
 from spanlab import rng as rnglib
-from spanlab.reconfig import high_degree, may_parent
+from spanlab.reconfig import high_degree, low_neighbors, may_parent
 
-from helpers import random_connected_graph, reference_reconfigure, reference_vertex_subset
+from helpers import (
+    random_connected_graph,
+    reference_may_parent,
+    reference_reconfigure,
+    reference_select_leaves,
+    reference_vertex_subset,
+)
 
 
 def subset(*vertices) -> frozenset[int]:
@@ -43,6 +49,11 @@ def test_high_degree_table_matches_cube_rule():
         table = high_degree(g)
         assert table == tuple(d**3 > g.n for d in g.degrees)
         assert high_degree(g) is table  # computed once per graph
+        lows = low_neighbors(g)
+        assert lows == tuple(
+            tuple(u for u in g.neighbors[v] if g.degrees[u] ** 3 <= g.n) for v in range(g.n)
+        )
+        assert low_neighbors(g) is lows
 
 
 # ---------------------------------------------------------------------------
@@ -50,15 +61,47 @@ def test_high_degree_table_matches_cube_rule():
 # ---------------------------------------------------------------------------
 
 
-def candidates(g, tree, r, branch, v) -> tuple[int, ...]:
-    """The neighbours of v that the branch's rule lets be its parent."""
-    ok = may_parent(g, tree, r, branch)
+def high_candidates(g, tree, r, v) -> tuple[int, ...]:
+    """The neighbours of v that the high-degree rule lets be its parent."""
+    ok = may_parent(g, tree, r)
+    assert ok == reference_may_parent(g, tree, r, HIGH_BRANCH)
     return tuple(u for u in g.neighbors[v] if ok[u])
 
 
+def _tree_with_leaf(g, v, p):
+    """A spanning tree of g in which v is a leaf hanging on p (g - v must be
+    connected)."""
+    edges, seen, order = [(v, p)], {v, p}, [p]
+    for u in order:
+        for w in g.neighbors[u]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+                edges.append((u, w))
+    return SpanningTree.from_edges(g, edges)
+
+
 def low_candidates(g, r, v) -> tuple[int, ...]:
+    """The neighbours of v that the low-degree rule lets be its parent, read
+    off the oracle's may-parent list.  When v is a low-degree vertex,
+    ``select_leaves`` agrees on trees hanging v on each of its neighbours
+    in turn, with v in the subset: it selects v with exactly these
+    candidates when its parent is one of them and they are at least half
+    its neighbours, and otherwise not."""
     # The low-degree rule reads degrees only, so any spanning tree will do.
-    return candidates(g, sl.sample_wilson(g, sl.stream(0)), r, LOW_BRANCH, v)
+    any_tree = sl.sample_wilson(g, sl.stream(0))
+    ok = reference_may_parent(g, any_tree, r, LOW_BRANCH)
+    cands = tuple(u for u in g.neighbors[v] if ok[u])
+    if g.degrees[v] ** 3 <= g.n:
+        for p in g.neighbors[v]:
+            t = _tree_with_leaf(g, v, p)
+            outcome = sl.select_leaves(g, t, r | {v})
+            if p in cands and 2 * len(cands) >= g.degrees[v]:
+                assert outcome.branch == LOW_BRANCH  # one leaf suffices for n <= 256
+                assert outcome.selection[v] == cands
+            else:
+                assert v not in outcome.selection
+    return cands
 
 
 def test_parents_low_degree_empty_subset_keeps_everything():
@@ -80,7 +123,7 @@ def test_parents_low_degree_high_degree_vertices_survive():
 def test_parents_high_degree_empty_subset_keeps_everything():
     g = sl.complete_graph(5)
     t = SpanningTree.from_edges(g, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert candidates(g, t, subset(), HIGH_BRANCH, 0) == tuple(g.neighbors[0])
+    assert high_candidates(g, t, subset(), 0) == tuple(g.neighbors[0])
 
 
 def test_parents_high_degree_leaf_in_subset_excluded():
@@ -88,7 +131,7 @@ def test_parents_high_degree_leaf_in_subset_excluded():
     t = SpanningTree.from_edges(g, [(0, 1), (1, 2), (2, 3)])
     # Vertex 3 is a tree leaf inside the subset: one tree neighbour, so it
     # can never keep two outside the subset.
-    cands = candidates(g, t, subset(3), HIGH_BRANCH, 0)
+    cands = high_candidates(g, t, subset(3), 0)
     assert 3 not in cands
     assert set(cands) == {1, 2}
 
@@ -97,7 +140,7 @@ def test_parents_high_degree_star_center_included():
     g = sl.complete_graph(5)
     star = SpanningTree.from_edges(g, [(0, 1), (0, 2), (0, 3), (0, 4)])
     # Center 0 sits in the subset but keeps leaves 2,3,4 outside it.
-    cands = candidates(g, star, subset(0, 1), HIGH_BRANCH, 1)
+    cands = high_candidates(g, star, subset(0, 1), 1)
     assert 0 in cands
 
 
@@ -376,11 +419,12 @@ def _corrupted_select(g, tree, sub):
             continue
         parent = tree.parent_of(v)
         if degs[v] ** 3 <= n:
-            cands = candidates(g, tree, sub, LOW_BRANCH, v)
+            ok = reference_may_parent(g, tree, sub, LOW_BRANCH)
+            cands = tuple(u for u in g.neighbors[v] if ok[u])
             if 2 * len(cands) >= degs[v]:
                 low[v] = cands if parent in cands else cands + (parent,)
         else:
-            cands = candidates(g, tree, sub, HIGH_BRANCH, v)
+            cands = high_candidates(g, tree, sub, v)
             if 4 * len(cands) >= degs[v]:
                 high[v] = cands if parent in cands else cands + (parent,)
     if 256 * len(low) >= n:
@@ -480,6 +524,15 @@ def connected_graphs(draw):
     return random_connected_graph(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))), p)
 
 
+def _matches_reference_selection(g, tree, r):
+    """select_leaves, checked against the oracle's selection (order included)."""
+    outcome = sl.select_leaves(g, tree, r)
+    ref = reference_select_leaves(g, tree, r)
+    assert outcome.branch == ref.branch
+    assert list(outcome.selection.items()) == list(ref.selection.items())
+    return outcome
+
+
 def _pipeline_instance(g, seed):
     tree = sl.sample_wilson(g, sl.stream(seed, rnglib.TREE, 0))
     r = sl.sample_vertex_subset(g.n, sl.stream(seed, rnglib.SUBSET, 0))
@@ -492,7 +545,7 @@ def _pipeline_instance(g, seed):
 @example(*BRANCH_EXAMPLES[1][:2])
 def test_reconfigure_and_audit_properties(g, seed):
     tree, r = _pipeline_instance(g, seed)
-    outcome = sl.select_leaves(g, tree, r)
+    outcome = _matches_reference_selection(g, tree, r)
     _assert_move_matches_reference(g, tree, outcome.selection, seed, rnglib.RECONF, 0)
     picked = _random_selection(g, tree, np.random.default_rng(seed))
     _assert_move_matches_reference(g, tree, picked, seed, rnglib.RECONF, 2)
@@ -531,6 +584,7 @@ def test_audit_on_random_min_degree_graphs(spec, seed):
     g = min_degree_graph(spec, seed)
     assert g.min_degree() >= 3
     tree, r = _pipeline_instance(g, seed)
+    _matches_reference_selection(g, tree, r)
     report = sl.audit_reversibility(g, tree, r, trials=3, rng=sl.stream(seed, rnglib.RECONF, 0))
     assert report.ok, report.violations[0]
 
