@@ -10,16 +10,24 @@ U-statistics).
 Every experiment takes one master seed; per-trial substreams make trial
 ``t`` reproducible in isolation and let trials run on worker processes
 without changing any reported number.
+
+The pipeline keys a tree's shape class by its canonical code, but every
+code class lies inside one degree-histogram class.  So a tree is coded
+only when its histogram can collide: a tree whose histogram no other
+trial of its run shares is a class of its own, keyed by that histogram,
+and its code is never built unless per-trial digests ask for it.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -36,7 +44,7 @@ from .stats import (
     fit_loglog_slope,
     percentile_interval,
 )
-from .trees import SpanningTree
+from .trees import SpanningTree, parent_degrees
 
 
 # ---------------------------------------------------------------------------
@@ -279,33 +287,92 @@ def pipeline_reconfigured_tree(g: Graph, master: int, t: int):
 
 
 def _pipeline_chunk(args):
+    """Rows ``(histogram, code or held tree, branch)`` of trials ``lo:hi``.
+
+    Isomorphic trees share a degree histogram, so a tree whose histogram
+    no other trial has is a class of its own and its code is never read.
+    Trees are held uncoded (``_hold``) until two trees of the chunk share
+    a histogram; from then on the trees held so far and every later tree
+    are coded here.  The tally (``_tally_head``) codes a tree still held
+    only if its histogram repeats in another chunk of its head, or if
+    every code is asked for."""
     g, master, lo, hi = args
     rows = []
+    seen = set()  # the chunk's histograms, until the first repeat; then None
     for t in range(lo, hi):
         redone, outcome = pipeline_reconfigured_tree(g, master, t)
-        rows.append(
-            (
-                histogram_key(redone.degrees),
-                code_from_parents(redone.parent, redone.root, redone.degrees),
-                outcome.branch,
-            )
-        )
+        hist = histogram_key(redone.degrees)
+        if seen is not None and hist not in seen:
+            seen.add(hist)
+            shape = _hold(redone)
+        else:
+            if seen is not None:
+                seen = None
+                rows = [(h, _code_held(held), b) for h, held, b in rows]
+            shape = code_from_parents(redone.parent, redone.root, redone.degrees)
+        rows.append((hist, shape, outcome.branch))
     return rows
 
 
-def _tally(counters, rows) -> None:
-    """Add pipeline rows (histogram, code, branch) to their three counters.
+def _hold(tree: SpanningTree) -> tuple:
+    """A tree kept uncoded: its parent entries as a typed array, and its root.
 
-    Chunks are added in trial order, so every counter keeps the insertion
-    order one pass over all the rows gives it."""
-    for counter, column in zip(counters, zip(*rows)):
-        counter.update(column)
+    Two bytes an entry while every vertex fits, no more than the tree's
+    code would take (two bytes a vertex)."""
+    parent = tree.parent
+    return array("H" if len(parent) <= 1 << 16 else "i", parent), tree.root
+
+
+def _code_held(held) -> bytes:
+    """The canonical code of a tree kept by ``_hold``."""
+    parent, root = held
+    parent = parent.tolist()
+    return code_from_parents(parent, root, parent_degrees(parent, root))
+
+
+def _tally_head(parts, keep_rows: bool):
+    """The histogram, code and branch ``Counter`` of one head's chunk rows,
+    and the rows themselves, coded, when ``keep_rows`` (else None).
+
+    ``parts`` yields the chunks' rows in trial order, so every counter
+    keeps the insertion order one pass over all the trials gives it.  A
+    held tree is coded only when ``keep_rows`` asks for every code or its
+    histogram occurs in another trial; otherwise its histogram is its
+    class key, which no other trial shares and no ``bytes`` code equals.
+    Equal codes from different chunks become one object.
+    """
+    hists, branches, codes = Counter(), Counter(), Counter()
+    interned = {}
+    rows = []
+    for hist, shape, branch in chain.from_iterable(parts):
+        hists[hist] += 1
+        branches[branch] += 1
+        if type(shape) is bytes:
+            shape = interned.setdefault(shape, shape)
+        rows.append((hist, shape, branch))
+    for i, (hist, shape, branch) in enumerate(rows):
+        if type(shape) is not bytes:
+            if keep_rows or hists[hist] > 1:
+                code = _code_held(shape)
+                shape = interned.setdefault(code, code)
+            else:
+                shape = hist
+            rows[i] = (hist, shape, branch)  # drops the held tree
+        codes[shape] += 1
+    return (hists, codes, branches), rows if keep_rows else None
 
 
 def _bootstrap(values: list, trials: int, seed: int, which: int) -> np.ndarray:
     """Bootstrap of one tally's class counts: ``which`` is 0 for
     histograms and 1 for codes."""
     return bootstrap_collisions(values, trials, rnglib.stream(seed, rnglib.BOOTSTRAP, which))
+
+
+def _results(futures):
+    """The results of ``futures`` in order, each future taken off the list
+    as it is read (a done future holds its rows)."""
+    while futures:
+        yield futures.pop(0).result()
 
 
 class _Later:
@@ -324,15 +391,18 @@ def _run_chunked(worker, heads: list, trials: int, jobs: int, keep_rows: bool = 
     bootstraps of their tallies, on one pool of ``jobs`` processes (or in
     this process at ``jobs=1``).
 
-    ``worker((g, seed, lo, hi))`` returns the rows of trials ``lo:hi``.  The
+    ``worker((g, seed, lo, hi))`` returns the rows of trials ``lo:hi``, each
+    ``(histogram, code or held tree, branch)`` (``_pipeline_chunk``).  The
     chunks of every head are submitted up front, in the order of ``heads``.
-    Once a head's chunks are in, its rows are tallied and dropped, and its
-    two bootstraps go to the same pool with only the class counts, queued
-    behind the chunks already submitted: no worker waits for this process
-    between heads.  Returns one ``(counters, boots,
-    rows)`` per head: the histogram, code and branch ``Counter``, the
-    histogram and code bootstraps, and the rows in trial order when
-    ``keep_rows`` (else None).
+    Once a head's chunks are in, its rows are tallied (``_tally_head``,
+    which codes a held tree only if its histogram repeats in the head or
+    ``keep_rows`` asks for every code) and dropped, and its two bootstraps
+    go to the same pool with only the class counts, queued behind the
+    chunks already submitted: no worker waits for this process between
+    heads.  Returns one ``(counters, boots, rows)`` per head: the
+    histogram, code and branch ``Counter``, the histogram and code
+    bootstraps, and the coded rows in trial order when ``keep_rows`` (else
+    None).
     """
     chunk = max(1, -(-trials // (jobs * 8)))
     bounds = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
@@ -341,14 +411,7 @@ def _run_chunked(worker, heads: list, trials: int, jobs: int, keep_rows: bool = 
         parts = [[submit(worker, (*head, lo, hi)) for lo, hi in bounds] for head in heads]
         pending = []
         for (_, seed), futures in zip(heads, parts):
-            counters = (Counter(), Counter(), Counter())
-            rows = [] if keep_rows else None
-            for future in futures:
-                part = future.result()
-                _tally(counters, part)
-                if keep_rows:
-                    rows.extend(part)
-            futures.clear()  # a done future holds its rows
+            counters, rows = _tally_head(_results(futures), keep_rows)
             boots = [
                 submit(_bootstrap, list(counter.values()), trials, seed, which)
                 for which, counter in enumerate(counters[:2])

@@ -25,6 +25,18 @@ def tree_neighbors(edges: list, n: int) -> tuple[list[list[int]], list[int]]:
     return nbrs, parent
 
 
+def parent_degrees(parent, root: int) -> list[int]:
+    """Tree degrees of a parent array in which all but ``root`` point at
+    their parent (``parent[root]`` is counted and taken back out, so any
+    vertex there will do)."""
+    degs = [1] * len(parent)
+    for p in parent:
+        degs[p] += 1
+    degs[root] -= 1
+    degs[parent[root]] -= 1
+    return degs
+
+
 class SpanningTree:
     """A spanning tree of a host Graph, as a rooted parent array.
 
@@ -78,12 +90,7 @@ class SpanningTree:
     @classmethod
     def from_parents(cls, graph: Graph, parent, root: int) -> "SpanningTree":
         """Build from a parent array (taken over): all but ``root`` point at their parent."""
-        degs = [1] * graph.n
-        for p in parent:
-            degs[p] += 1
-        degs[root] -= 1
-        degs[parent[root]] -= 1
-        return cls(graph, parent, root, degs)
+        return cls(graph, parent, root, parent_degrees(parent, root))
 
     def is_spanning_tree(self) -> bool:
         """Full invariant check: the edges pass from_edges, the degrees match."""

@@ -16,12 +16,15 @@ decoding.  A whole pipeline trial is rebuilt the way it was first
 written: Wilson walks retraced after every walk with floats read one at
 a time, selection from n-long may-parent lists on both branches, and
 codes from neighbour lists (the library walks once, reads a per-graph
-table of low-degree neighbours, and codes the parent array).
+table of low-degree neighbours, and codes the parent array).  The eager
+tally codes every trial's tree and counts all rows in one pass (the
+library codes a tree only when its degree histogram can collide).
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from itertools import combinations, permutations
 
 import numpy as np
@@ -35,7 +38,12 @@ from spanlab import (
     StrategyOutcome,
     bareiss_determinant,
     build_graph,
+    code_from_parents,
+    complete_bipartite,
+    histogram_key,
+    pipeline_reconfigured_tree,
 )
+from spanlab import experiments
 from spanlab import rng as rnglib
 
 
@@ -76,6 +84,17 @@ def reference_code(nbrs) -> bytes:
     """Center-rooted AHU code: root the whole tree at each center, keep the
     smaller encoding."""
     return min(_rooted_code(nbrs, c) for c in tree_centers(nbrs))
+
+
+def reference_parent_code(parent, root: int) -> bytes:
+    """``reference_code`` of the tree in which all but ``root`` point at
+    their parent."""
+    nbrs: list[list[int]] = [[] for _ in parent]
+    for v, p in enumerate(parent):
+        if v != root:
+            nbrs[v].append(p)
+            nbrs[p].append(v)
+    return reference_code(nbrs)
 
 
 def tree_centers(nbrs) -> list[int]:
@@ -254,6 +273,44 @@ def reference_trial(g: Graph, master: int, t: int) -> tuple:
         nbrs[u].append(w)
         nbrs[w].append(u)
     return reference_histogram_key(redone.degrees), reference_code(nbrs), outcome.branch
+
+
+def eager_pipeline_collision(
+    g: Graph, trials: int, seed: int, keep_digests: bool = False
+) -> experiments.PipelineCollisionReport:
+    """``pipeline_collision`` at master seed ``seed`` with every trial's tree
+    coded, and the histogram, code and branch counters each filled in one
+    pass over the rows in trial order."""
+    rows = []
+    for t in range(trials):
+        redone, outcome = pipeline_reconfigured_tree(g, seed, t)
+        code = code_from_parents(redone.parent, redone.root, redone.degrees)
+        rows.append((histogram_key(redone.degrees), code, outcome.branch))
+    counters = tuple(Counter(column) for column in zip(*rows))
+    boots = [
+        experiments._bootstrap(list(counter.values()), trials, seed, which)
+        for which, counter in enumerate(counters[:2])
+    ]
+    return experiments.PipelineCollisionReport(
+        seed=seed,
+        trials=trials,
+        branch_counts=dict(sorted(counters[2].items())),
+        histograms=experiments._collision_report(counters[0], trials, boots[0]),
+        codes=experiments._collision_report(counters[1], trials, boots[1]),
+        digests=rows if keep_digests else None,
+    )
+
+
+def eager_scaling_reports(d: int, sizes, trials: int, master: int) -> list:
+    """``eager_pipeline_collision`` of each size of ``scaling_experiment``."""
+    return [
+        eager_pipeline_collision(
+            complete_bipartite(d, n - d),
+            trials,
+            int(rnglib.stream(master, rnglib.GENERATE, i).integers(0, 2**63)),
+        )
+        for i, n in enumerate(sizes)
+    ]
 
 
 def brute_count_spanning_trees(g: Graph) -> int:

@@ -1,17 +1,25 @@
 import dataclasses
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import spanlab as sl
 from spanlab import LOW_BRANCH, BipartiteOneOutInstance, CapExceededError, SpanningTree
+from spanlab import experiments
 from spanlab.experiments import _pipeline_chunk, _vector_from_picks, sample_choices
 from spanlab.graphs import GraphSpec, generate
 from spanlab.stats import percentile_interval
 
-from helpers import reference_bootstrap_slopes, reference_trial
+from helpers import (
+    eager_pipeline_collision,
+    eager_scaling_reports,
+    reference_bootstrap_slopes,
+    reference_parent_code,
+    reference_trial,
+)
 
 
 def make_instance(a_degrees, offsets=None):
@@ -224,12 +232,23 @@ ORACLE_GRAPHS = {
 }
 
 
+# In 12 trials the complete bipartite graphs repeat a histogram, so their
+# chunks come back coded; the other two see 12 distinct histograms, so
+# theirs come back held.
+HELD_GRAPHS = {"regular16_256", "gnp200"}
+
+
 @pytest.mark.parametrize("seed", [5, 77, 2**40 + 3])
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
 def test_pipeline_rows_match_reference_trials(name, seed):
     g = ORACLE_GRAPHS[name]()
     rows = _pipeline_chunk((g, seed, 0, 12))
-    assert rows == [reference_trial(g, seed, t) for t in range(12)]
+    assert [type(shape) is bytes for _, shape, _ in rows] == [name not in HELD_GRAPHS] * 12
+    coded = [
+        (hist, shape if type(shape) is bytes else reference_parent_code(*shape), branch)
+        for hist, shape, branch in rows
+    ]
+    assert coded == [reference_trial(g, seed, t) for t in range(12)]
     if name == "gnp200":
         # Some selected leaf lost a barred neighbour: the table's
         # filtering path ran, not only the whole-tuple one.
@@ -249,6 +268,74 @@ def test_pipeline_trials_build_no_tree_neighbour_lists(monkeypatch):
     for g in (sl.complete_bipartite(3, 47), sl.random_regular(16, 256, sl.stream(3))):
         rows = _pipeline_chunk((g, 9, 0, 10))
         assert len(rows) == 10
+        # The tally codes every held tree when the digests are kept.
+        report = sl.pipeline_collision(g, 10, seed=9, keep_digests=True)
+        assert all(type(code) is bytes for _, code, _ in report.digests)
+    # Here the tally codes held trees whose histograms repeat across chunks.
+    sl.pipeline_collision(sl.complete_bipartite(3, 7), 16, seed=4)
+
+
+@pytest.mark.parametrize("n, typecode", [(1 << 16, "H"), ((1 << 16) + 1, "i")])
+def test_held_tree_codes_as_its_tree(n, typecode):
+    # A heap-shaped tree: v hangs on (v - 1) // 2, rooted at 0.
+    parent = [0] + [(v - 1) // 2 for v in range(1, n)]
+    held = experiments._hold(SimpleNamespace(parent=parent, root=0))
+    assert held[0].typecode == typecode and held[1] == 0
+    assert experiments._code_held(held) == reference_parent_code(parent, 0)
+
+
+def assert_same_pipeline_report(a, b):
+    assert (a.seed, a.trials) == (b.seed, b.trials)
+    assert_same_collision_report(a.histograms, b.histograms)
+    assert_same_collision_report(a.codes, b.codes)
+    assert a.branch_counts == b.branch_counts
+    assert a.digests == b.digests
+
+
+# (spec, trials, seed): the complete bipartite cases have trees coded in
+# the tally (held in their chunks, histogram repeated in another chunk);
+# the regular graph's trees all keep unique histograms and are never coded.
+EAGER_CASES = [("bipartite:3,7", 16, 4), ("bipartite:3,12", 24, 4), ("regular:16,256", 16, 0)]
+
+
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("spec, trials, seed", EAGER_CASES)
+def test_pipeline_collision_matches_eager_tally(spec, trials, seed, jobs, keep):
+    g = generate(GraphSpec.parse(spec), 0)
+    report = sl.pipeline_collision(g, trials, seed=seed, jobs=jobs, keep_digests=keep)
+    assert_same_pipeline_report(report, eager_pipeline_collision(g, trials, seed, keep))
+
+
+@pytest.mark.parametrize("spec, trials, seed, keep, calls, in_tally", [
+    ("regular:16,256", 16, 0, False, 0, 0),
+    ("regular:16,256", 16, 0, True, 16, 16),
+    ("bipartite:3,7", 16, 4, False, 15, 15),
+    ("bipartite:3,12", 24, 4, False, 21, 15),
+])
+def test_pipeline_codes_a_tree_only_when_its_histogram_can_collide(
+    monkeypatch, spec, trials, seed, keep, calls, in_tally
+):
+    # Counts every code built, and the coded rows the chunks hand back; the
+    # rest were built in the tally.
+    g = generate(GraphSpec.parse(spec), 0)
+    built, from_chunks = [], []
+    code, chunk = experiments.code_from_parents, experiments._pipeline_chunk
+
+    def counted_code(*args):
+        built.append(1)
+        return code(*args)
+
+    def counted_chunk(args):
+        rows = chunk(args)
+        from_chunks.extend(1 for _, shape, _ in rows if type(shape) is bytes)
+        return rows
+
+    monkeypatch.setattr(experiments, "code_from_parents", counted_code)
+    monkeypatch.setattr(experiments, "_pipeline_chunk", counted_chunk)
+    sl.pipeline_collision(g, trials, seed=seed, jobs=1, keep_digests=keep)
+    assert len(built) == calls
+    assert len(built) - len(from_chunks) == in_tally
 
 
 def test_pipeline_reports_are_reproducible_and_jobs_invariant():
@@ -278,6 +365,17 @@ def test_scaling_report_is_jobs_invariant(seed):
     assert one.code_slope == two.code_slope
     assert one.code_slope_ci95 == two.code_slope_ci95
     assert one.histogram_slope == two.histogram_slope
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scaling_rows_match_eager_tally(jobs):
+    sizes, trials = (10, 15, 40), 24
+    report = sl.scaling_experiment(3, sizes, trials=trials, seed=4, jobs=jobs)
+    assert [row.n for row in report.rows] == list(sizes)
+    for row, eager in zip(report.rows, eager_scaling_reports(3, sizes, trials, 4)):
+        assert row.trials == trials
+        assert_same_collision_report(row.histograms, eager.histograms)
+        assert_same_collision_report(row.codes, eager.codes)
 
 
 def test_scaling_experiment_smoke():
