@@ -20,7 +20,7 @@ def main():
     rep = sl.uniformity_experiment(sl.complete_graph(4), trials=20000, seed=master)
     for row in rep.rows:
         print(f"  {row.sampler:>8}: chi2 = {row.statistic:7.2f}   p = {row.pvalue:.3f}")
-    print(f"  rejected at 1e-3: {rep.rejected(1e-3) or 'none'}")
+    print(f"  rejected at 1e-3: {rep.rejected() or 'none'}")
 
     print()
     print("== Rejection sampling feels the degree product ==")

@@ -13,7 +13,6 @@ from .graphs import (
     Graph,
     GraphSpec,
     build_graph,
-    check_connected_min_degree,
     complete_bipartite,
     complete_graph,
     cycle_graph,

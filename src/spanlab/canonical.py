@@ -45,8 +45,7 @@ def code_from_parents(parent, root: int, degrees) -> bytes:
     entry.  Every inner vertex keeps the XOR of its inner neighbours and
     takes each stripped one out of it, so once one neighbour is left the
     XOR names it.  ``b"()"`` sorts after every other code, so leaf
-    children are only counted and go last; a vertex with leaf children
-    only takes its code from a table.  With two centers each half is
+    children are only counted and go last.  With two centers each half is
     built once; the whole tree rooted at either center is that center's
     half with the other half added as a child, and the smaller of the two
     encodings wins.
@@ -81,14 +80,13 @@ def code_from_parents(parent, root: int, degrees) -> bytes:
         deg[p] = d
         if d <= 1:
             layer.append(p)
-    stars = _leaf_parent_codes(max(hang.values()))
     kids: list[list[bytes] | None] = [None] * n  # codes of inner children
     remaining = n - len(leaves)
     while len(layer) < remaining:
         remaining -= len(layer)
         nxt = []
         for u in layer:
-            code = _wrap(kids[u], leaf_kids[u], stars)
+            code = _wrap(kids[u], leaf_kids[u])
             p = link[u]
             link[p] ^= u
             ks = kids[p]
@@ -103,34 +101,22 @@ def code_from_parents(parent, root: int, degrees) -> bytes:
         layer = nxt
     if len(layer) == 1:
         c = layer[0]
-        return _wrap(kids[c], leaf_kids[c], stars)
+        return _wrap(kids[c], leaf_kids[c])
     a, b = layer
-    half_a = _wrap(kids[a], leaf_kids[a], stars)
-    half_b = _wrap(kids[b], leaf_kids[b], stars)
+    half_a = _wrap(kids[a], leaf_kids[a])
+    half_b = _wrap(kids[b], leaf_kids[b])
     return min(
-        _wrap((kids[a] or []) + [half_b], leaf_kids[a], stars),
-        _wrap((kids[b] or []) + [half_a], leaf_kids[b], stars),
+        _wrap((kids[a] or []) + [half_b], leaf_kids[a]),
+        _wrap((kids[b] or []) + [half_a], leaf_kids[b]),
     )
 
 
-def _wrap(kids, leaf_kids: int, stars) -> bytes:
+def _wrap(kids, leaf_kids: int) -> bytes:
     """Code of a vertex from its inner child codes and leaf-child count."""
     if kids is None:
-        return stars[leaf_kids]
+        return b"(" + b"()" * leaf_kids + b")"
     kids.sort()
     return b"(" + b"".join(kids) + b"()" * leaf_kids + b")"
-
-
-# Entry k is the code of a vertex whose children are k leaves.
-_LEAF_PARENT_CODES = [b"()"]
-
-
-def _leaf_parent_codes(k: int) -> list[bytes]:
-    """The table of leaf-parent codes, grown to hold entry k."""
-    codes = _LEAF_PARENT_CODES
-    for i in range(len(codes), k + 1):
-        codes.append(b"(" + b"()" * i + b")")
-    return codes
 
 
 def histogram_key(degrees) -> tuple[tuple[int, int], ...]:

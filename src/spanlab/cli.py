@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_graph(args, parser):
+def _load_graph(args, parser, seed: int):
     if args.graph and args.gen:
         parser.error("give either --graph or --gen, not both")
     if args.graph:
@@ -179,7 +179,7 @@ def _load_graph(args, parser):
             spec = GraphSpec.parse(args.gen)
         except GraphError as exc:
             parser.error(str(exc))
-        return generate(spec, rnglib.resolve_seed(args.seed)), spec.describe()
+        return generate(spec, seed), spec.describe()
     parser.error("a graph is required: pass --graph FILE or --gen SPEC")
 
 
@@ -189,7 +189,7 @@ def _load_graph(args, parser):
 
 
 def _run_count_exact(args, parser, seed):
-    g, desc = _load_graph(args, parser)
+    g, desc = _load_graph(args, parser, seed)
     count = count_spanning_trees(g)
     payload = {
         "graph": desc,
@@ -206,7 +206,7 @@ def _run_count_exact(args, parser, seed):
 
 
 def _run_enumerate(args, parser, seed):
-    g, desc = _load_graph(args, parser)
+    g, desc = _load_graph(args, parser, seed)
     trees = enumerate_spanning_trees(g, args.cap)
     payload = {
         "graph": desc,
@@ -220,7 +220,7 @@ def _run_enumerate(args, parser, seed):
 
 
 def _run_sample(args, parser, seed):
-    g, desc = _load_graph(args, parser)
+    g, desc = _load_graph(args, parser, seed)
     leaf_counts = []
     attempts = []
     for t in range(args.trials):
@@ -252,7 +252,7 @@ def _run_sample(args, parser, seed):
 
 
 def _run_reconfigure(args, parser, seed):
-    g, desc = _load_graph(args, parser)
+    g, desc = _load_graph(args, parser, seed)
     trial_rows = []
     violations_total = 0
     for t in range(args.trials):
@@ -290,7 +290,7 @@ def _run_reconfigure(args, parser, seed):
 
 
 def _run_count_noniso(args, parser, seed):
-    g, desc = _load_graph(args, parser)
+    g, desc = _load_graph(args, parser, seed)
     report = count_non_isomorphic(g, args.mode, args.budget, seed=seed)
     payload = {
         "graph": desc,
@@ -372,7 +372,7 @@ def _run_experiment(args, parser, seed):
         ]
         return payload, rows
 
-    g, desc = _load_graph(args, parser)
+    g, desc = _load_graph(args, parser, seed)
     if kind == "pipeline":
         report = pipeline_collision(
             g, args.trials, seed=seed, jobs=args.jobs, keep_digests=args.per_trial
@@ -456,7 +456,7 @@ def _run_experiment(args, parser, seed):
                 }
                 for row in report.rows
             ],
-            "rejectedAt1e3": report.rejected(1e-3),
+            "rejectedAt1e3": report.rejected(),
         }
         rows = [("sampler", "statistic", "pvalue")]
         rows += [(r.sampler, r.statistic, r.pvalue) for r in report.rows]

@@ -636,18 +636,18 @@ class UniformityReport:
     support: int
     rows: list[UniformityRow]
 
-    def rejected(self, alpha: float = 1e-3) -> list[str]:
-        return [row.sampler for row in self.rows if row.pvalue < alpha]
+    def rejected(self) -> list[str]:
+        """Samplers whose fit p-value falls below 1e-3."""
+        return [row.sampler for row in self.rows if row.pvalue < 1e-3]
 
 
 def uniformity_experiment(
     g: Graph,
     trials: int,
     seed: int | None = None,
-    include_pipeline: bool = True,
     cap: int = 75,
 ) -> UniformityReport:
-    """Chi-square goodness of fit of sampled trees against exact uniform.
+    """Chi-square fit of each sampler's trees, and the pipeline's, to exact uniform.
 
     The support comes from the enumeration oracle (graphs above ``cap``
     spanning trees are refused), so the test is against the true uniform
@@ -662,11 +662,10 @@ def uniformity_experiment(
         counts = Counter(draw(g, rng).edge_key() for _ in range(trials))
         stat, pvalue = chi_square_uniform(counts, support)
         rows.append(UniformityRow(name, trials, support, stat, pvalue))
-    if include_pipeline:
-        counts = Counter(
-            pipeline_reconfigured_tree(g, master, t)[0].edge_key() for t in range(trials)
-        )
-        stat, pvalue = chi_square_uniform(counts, support)
-        rows.append(UniformityRow("pipeline", trials, support, stat, pvalue))
+    counts = Counter(
+        pipeline_reconfigured_tree(g, master, t)[0].edge_key() for t in range(trials)
+    )
+    stat, pvalue = chi_square_uniform(counts, support)
+    rows.append(UniformityRow("pipeline", trials, support, stat, pvalue))
     return UniformityReport(seed=master, support=support, rows=rows)
 

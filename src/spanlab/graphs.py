@@ -146,11 +146,6 @@ def build_graph(edges, n: int) -> Graph:
     return Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in adj))
 
 
-def check_connected_min_degree(g: Graph, d: int) -> bool:
-    """True iff ``g`` is connected and every degree is at least ``d``."""
-    return g.is_connected() and g.min_degree() >= d
-
-
 # ---------------------------------------------------------------------------
 # Deterministic family constructors
 # ---------------------------------------------------------------------------

@@ -35,6 +35,12 @@ def _draws(rng, n: int):
     The first batch is near a sampler's typical draw count (2n + 8) and
     later ones grow fourfold up to ``_CHUNK``, so tiny graphs are not
     charged for a huge batch each sample.
+
+    The batch sizes are part of ``results``: each sample throws away the
+    unread rest of its last batch, and ``leaf_stats`` and
+    ``uniformity_experiment`` draw sample after sample from one generator,
+    so other sizes shift every later sample.  Only a stream used for one
+    sample (a pipeline trial's) could take other sizes unchanged.
     """
     return chain.from_iterable(_batches(rng, 2 * n + 8))
 

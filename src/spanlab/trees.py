@@ -43,9 +43,9 @@ class SpanningTree:
     ``parent[v]`` is v's tree neighbour toward ``root``, for every v but
     the root; ``degrees`` holds the tree degrees.  The root is never a
     leaf unless n = 2, where ``parent[root]`` is the other vertex, so the
-    one tree neighbour of every leaf is its ``parent`` entry.  Neighbour
-    lists are not stored: each read of ``neighbors`` builds them from the
-    parent array.  A tree is never mutated after construction
+    one tree neighbour of every leaf is its ``parent`` entry.  Neither
+    edges nor neighbour lists are stored; ``edges()`` builds the edge list
+    on demand.  A tree is never mutated after construction
     (reconfiguration returns a fresh one).
     """
 
@@ -64,17 +64,6 @@ class SpanningTree:
         self.parent = parent
         self.degrees = degrees
         self.root = root
-
-    @property
-    def neighbors(self) -> list[list[int]]:
-        """Tree adjacency lists, built afresh from the parent array."""
-        nbrs: list[list[int]] = [[] for _ in self.parent]
-        root = self.root
-        for v, p in enumerate(self.parent):
-            if v != root:
-                nbrs[v].append(p)
-                nbrs[p].append(v)
-        return nbrs
 
     @classmethod
     def from_edges(cls, graph: Graph, edges) -> "SpanningTree":
@@ -113,12 +102,6 @@ class SpanningTree:
     def leaves(self) -> list[int]:
         degs = self.degrees
         return [v for v in range(len(degs)) if degs[v] == 1]
-
-    def parent_of(self, v: int) -> int:
-        """The unique tree neighbour of a leaf."""
-        if self.degrees[v] != 1:
-            raise ValueError(f"vertex {v} has tree degree {self.degrees[v]}, not a leaf")
-        return self.parent[v]
 
     def __repr__(self):
         return f"SpanningTree(n={self.graph.n})"

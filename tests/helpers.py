@@ -89,12 +89,21 @@ def reference_code(nbrs) -> bytes:
 def reference_parent_code(parent, root: int) -> bytes:
     """``reference_code`` of the tree in which all but ``root`` point at
     their parent."""
+    return reference_code(_adjacency(parent, root))
+
+
+def tree_adjacency(tree: SpanningTree) -> list[list[int]]:
+    """Adjacency lists of a spanning tree, read off its parent array."""
+    return _adjacency(tree.parent, tree.root)
+
+
+def _adjacency(parent, root: int) -> list[list[int]]:
     nbrs: list[list[int]] = [[] for _ in parent]
     for v, p in enumerate(parent):
         if v != root:
             nbrs[v].append(p)
             nbrs[p].append(v)
-    return reference_code(nbrs)
+    return nbrs
 
 
 def tree_centers(nbrs) -> list[int]:
@@ -249,7 +258,7 @@ def reference_select_leaves(g: Graph, tree: SpanningTree, subset) -> StrategyOut
         selection = {}
         for v in leaves:
             cands = tuple(u for u in g.neighbors[v] if ok[u])
-            if ok[tree.parent_of(v)] and share * len(cands) >= g.degrees[v]:
+            if ok[tree.parent[v]] and share * len(cands) >= g.degrees[v]:
                 selection[v] = cands
         return selection
 

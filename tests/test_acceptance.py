@@ -8,15 +8,24 @@ probability about 0.1% per fresh seed; the committed seeds are ordinary
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import spanlab as sl
+from spanlab import rng as rnglib
+from spanlab.experiments import SAMPLERS
 from spanlab.stats import chi_square_uniform
 
-from helpers import brute_isomorphic, random_connected_graph, random_tree_edges, relabel_edges
+from helpers import (
+    brute_isomorphic,
+    random_connected_graph,
+    random_tree_edges,
+    relabel_edges,
+    tree_adjacency,
+)
 
 SEED = 20250810
 
@@ -143,12 +152,17 @@ def test_c05_sampler_uniformity():
     ]
     pvalues = []
     for label, g, expected_support in cases:
-        rep = sl.uniformity_experiment(
-            g, trials=100_000, seed=SEED, include_pipeline=False
-        )
-        assert rep.support == expected_support
-        assert rep.rejected(1e-3) == [], (label, [(r.sampler, r.pvalue) for r in rep.rows])
-        pvalues += [round(r.pvalue, 3) for r in rep.rows]
+        support = len(sl.enumerate_spanning_trees(g, cap=75))
+        assert support == expected_support
+        # The samplers' rows of uniformity_experiment, from the same streams;
+        # the pipeline's row is c09's.
+        rows = []
+        for idx, (name, draw) in enumerate(SAMPLERS.items()):
+            rng = sl.stream(SEED, rnglib.TREE, idx)
+            counts = Counter(draw(g, rng).edge_key() for _ in range(100_000))
+            rows.append((name, chi_square_uniform(counts, support)[1]))
+        assert all(p >= 1e-3 for _, p in rows), (label, rows)
+        pvalues += [round(p, 3) for _, p in rows]
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     report(5, "sampler uniformity", f"9 tests, p-values {pvalues}, {elapsed:.1f}s")
@@ -307,7 +321,7 @@ def test_c12_anticoncentration_scaling():
 
 def test_c13_canonicalization():
     trees = sl.enumerate_spanning_trees(sl.complete_graph(4), cap=100)
-    codes = {sl.code_from_neighbors(t.neighbors) for t in trees}
+    codes = {sl.code_from_neighbors(tree_adjacency(t)) for t in trees}
     assert len(trees) == 16 and len(codes) == 2
     rng = np.random.default_rng(SEED + 13)
     mismatches = 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,7 @@ from helpers import (
     reference_code,
     reference_histogram_key,
     relabel_edges,
+    tree_adjacency,
     tree_centers,
 )
 
@@ -137,8 +140,8 @@ def test_code_matches_reference_on_shapes(edges, n, centers):
 def test_code_matches_reference_on_sampled_trees():
     for g in (sl.random_regular(16, 300, sl.stream(21)), sl.complete_bipartite(3, 60)):
         for t in range(10):
-            tree = sl.sample_wilson(g, sl.stream(22, t))
-            assert sl.code_from_neighbors(tree.neighbors) == reference_code(tree.neighbors)
+            nbrs = tree_adjacency(sl.sample_wilson(g, sl.stream(22, t)))
+            assert sl.code_from_neighbors(nbrs) == reference_code(nbrs)
 
 
 def test_path_vs_star_codes_differ():
@@ -156,7 +159,7 @@ def test_relabeling_invariance():
 
 def test_k4_spanning_trees_two_shapes():
     trees = sl.enumerate_spanning_trees(sl.complete_graph(4), 100)
-    codes = {sl.code_from_neighbors(t.neighbors) for t in trees}
+    codes = {sl.code_from_neighbors(tree_adjacency(t)) for t in trees}
     assert len(codes) == 2
 
 
@@ -172,6 +175,20 @@ def test_not_a_tree_errors():
 def test_tiny_trees():
     assert sl.canonical_code([], 1) == b"()"
     assert sl.canonical_code([(0, 1)], 2) == b"(())"
+
+
+def test_coding_a_big_star_keeps_no_memory():
+    leaves = 20_000
+    parent, degrees = [0] * (leaves + 1), [leaves] + [1] * leaves
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = code_from_parents(parent, 0, degrees)
+        kept = tracemalloc.get_traced_memory()[0] - before - len(code)
+    finally:
+        tracemalloc.stop()
+    assert code == b"(" + b"()" * leaves + b")"
+    assert kept < 1 << 20, kept
 
 
 def test_code_equality_matches_brute_isomorphism():

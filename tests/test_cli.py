@@ -264,6 +264,23 @@ def test_auto_seed_is_echoed(capsys):
     assert isinstance(report["config"]["seed"], int)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "pipeline", "--gen", "regular:4,30", "--trials", "5", "--per-trial"],
+        ["count-exact", "--gen", "gnp:30,0.3,2"],
+    ],
+    ids=["pipeline-regular", "count-exact-gnp"],
+)
+def test_seedless_run_replays_from_its_reported_seed(capsys, argv):
+    # The random graph must come from the seed the report records.
+    code, first = run_json(capsys, *argv)
+    assert code == 0
+    code, replay = run_json(capsys, *argv, "--seed", str(first["config"]["seed"]))
+    assert code == 0
+    assert replay["results"] == first["results"]
+
+
 def test_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["count-exact", "--gen", "complete:4", "--seed", "1",

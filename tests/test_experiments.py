@@ -260,11 +260,8 @@ def test_pipeline_rows_match_reference_trials(name, seed):
         assert filtered
 
 
-def test_pipeline_trials_build_no_tree_neighbour_lists(monkeypatch):
-    def refuse(tree):
-        raise AssertionError("a pipeline trial built a tree's neighbour lists")
-
-    monkeypatch.setattr(SpanningTree, "neighbors", property(refuse))
+def test_pipeline_trials_build_no_tree_neighbour_lists():
+    assert not hasattr(SpanningTree, "neighbors")
     for g in (sl.complete_bipartite(3, 47), sl.random_regular(16, 256, sl.stream(3))):
         rows = _pipeline_chunk((g, 9, 0, 10))
         assert len(rows) == 10
@@ -420,4 +417,4 @@ def test_uniformity_experiment_rows():
     names = [row.sampler for row in report.rows]
     assert names == ["wilson", "ab", "reject", "pipeline"]
     assert report.support == 16
-    assert report.rejected(1e-3) == []
+    assert report.rejected() == []

@@ -181,9 +181,13 @@ def test_generate_deterministic():
     assert c.edges() == d.edges()
 
 
+def _connected_min_degree(g, d: int) -> bool:
+    return g.is_connected() and g.min_degree() >= d
+
+
 def test_gnp_min_degree_post():
     g = sl.gnp_min_degree(40, 0.3, 3, sl.stream(21))
-    assert sl.check_connected_min_degree(g, 3)
+    assert _connected_min_degree(g, 3)
 
 
 def test_connected_returns_a_search_tree_rooted_at_0():
@@ -204,15 +208,6 @@ def test_connected_returns_a_search_tree_rooted_at_0():
     assert connected(()) is None
 
 
-def test_check_connected_min_degree():
-    assert sl.check_connected_min_degree(sl.complete_graph(4), 3)
-    two_triangles = sl.build_graph(
-        [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)], 6
-    )
-    assert not sl.check_connected_min_degree(two_triangles, 2)
-    assert not sl.check_connected_min_degree(sl.path_graph(3), 2)
-
-
 def test_generated_graphs_meet_implied_min_degree():
     cases = [
         ("complete:7", 6),
@@ -222,7 +217,7 @@ def test_generated_graphs_meet_implied_min_degree():
     ]
     for spec_text, d in cases:
         g = sl.generate(sl.GraphSpec.parse(spec_text), seed=3)
-        assert sl.check_connected_min_degree(g, d), spec_text
+        assert _connected_min_degree(g, d), spec_text
 
 
 def test_graph_file_roundtrip(tmp_path):
@@ -284,7 +279,7 @@ def test_gnp_spec_feasibility(text, feasible):
     if feasible:
         spec = sl.GraphSpec.parse(text)
         assert spec.params == (n, p, d)
-        assert sl.check_connected_min_degree(sl.generate(spec, seed=3), d)
+        assert _connected_min_degree(sl.generate(spec, seed=3), d)
         return
     with pytest.raises(InfeasibleSpecError):
         sl.GraphSpec.parse(text)

@@ -197,7 +197,7 @@ def _checked_selection(g, t, r):
     chosen = set(outcome.selection)
     assert chosen <= set(t.leaves()) and chosen <= r
     for v, cands in outcome.selection.items():
-        assert t.parent_of(v) in cands
+        assert t.parent[v] in cands
         assert set(cands) <= set(g.neighbors[v])
         assert not chosen.intersection(cands)
     return outcome
@@ -276,10 +276,13 @@ def test_reconfigure_choices_are_uniform():
     t = SpanningTree.from_edges(g, [(0, 1), (1, 2), (2, 3)])
     sel = {0: (1, 2)}
     rng = sl.stream(9)
-    counts = Counter(
-        sl.reconfigure(g, t, sel, rng).parent_of(0)
-        for _ in range(20000)
-    )
+
+    def moved_parent():
+        out = sl.reconfigure(g, t, sel, rng)
+        assert out.degrees[0] == 1
+        return out.parent[0]
+
+    counts = Counter(moved_parent() for _ in range(20000))
     assert set(counts) == {1, 2}
     assert abs(counts[1] - 10000) < 400  # ~5 sigma for a fair coin
 
@@ -290,14 +293,14 @@ def _random_selection(g, t, rng) -> dict[int, tuple[int, ...]]:
     leaves (n = 2) only the first may be drawn."""
     chosen = set()
     for v in t.leaves():
-        if rng.random() < 0.5 and t.parent_of(v) not in chosen:
+        if rng.random() < 0.5 and t.parent[v] not in chosen:
             chosen.add(v)
     leaves = sorted(chosen)
     parents = {}
     for v in leaves:
-        others = [u for u in g.neighbors[v] if u not in chosen and u != t.parent_of(v)]
+        others = [u for u in g.neighbors[v] if u not in chosen and u != t.parent[v]]
         keep = [u for u in others if rng.random() < 0.5]
-        parents[v] = tuple(sorted([t.parent_of(v), *keep]))
+        parents[v] = tuple(sorted([t.parent[v], *keep]))
     return parents
 
 
@@ -314,7 +317,7 @@ def _assert_move_matches_reference(g, t, sel, *path):
     assert out.is_spanning_tree()
     edges = set(ref.edge_key())
     for v in out.leaves():
-        p = out.parent_of(v)
+        p = out.parent[v]
         assert ((v, p) if v < p else (p, v)) in edges
     assert t.edge_key() == before
     return out
@@ -417,7 +420,7 @@ def _corrupted_select(g, tree, sub):
     for v in tree.leaves():
         if v not in sub:
             continue
-        parent = tree.parent_of(v)
+        parent = tree.parent[v]
         if degs[v] ** 3 <= n:
             ok = reference_may_parent(g, tree, sub, LOW_BRANCH)
             cands = tuple(u for u in g.neighbors[v] if ok[u])
