@@ -32,7 +32,6 @@ from .exact import (
     degree_product,
     enumerate_spanning_trees,
     kostochka_upper_bound_holds,
-    modular_determinant,
 )
 from .sampling import (
     AttemptsExhaustedError,

@@ -29,6 +29,7 @@ from .exact import (
     kostochka_upper_bound_holds,
 )
 from .experiments import (
+    CI_METHOD,
     check_sizes,
     estimate_max_point_mass,
     instance_from_selection,
@@ -315,7 +316,7 @@ def _estimates_block(report) -> dict:
         "distinct": report.distinct,
         "collidingPairs": report.colliding_pairs,
         "maxClassCount": report.max_class_count,
-        "ciMethod": report.ci_method,
+        "ciMethod": CI_METHOD,
     }
 
 

@@ -1,14 +1,12 @@
 """Exact spanning-tree counting and enumeration.
 
-The count is the determinant of the reduced Laplacian, evaluated by
-multi-modular elimination + CRT, Hadamard-bounded: the determinant is
-found modulo word-size primes, a stack of primes at a time, by one
-float64 elimination that keeps every residue balanced, |r| <= p/2 + 2, so
-that no sum it forms ever rounds; the residues are combined by Chinese
-remaindering until their modulus exceeds twice Hadamard's bound, so
+``count_spanning_trees`` is the one way into the exact determinant: the
+count is the determinant of the reduced Laplacian, evaluated by
+multi-modular elimination + CRT, Hadamard-bounded (``_determinant``), so
 results are bit-exact at any size.  Fraction-free (Bareiss) elimination
-is kept as an independent oracle.  Enumeration is contraction/deletion
-on an explicit stack with a cap guard.
+is kept as the independent oracle that the tests check against and the
+benchmark traces.  Enumeration is contraction/deletion on an explicit
+stack with a cap guard.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graphs import Graph, find
+from .graphs import Graph
 from .trees import SpanningTree
 
 # Elimination mod p runs in float64, whose integers are exact below 2**53.
@@ -31,9 +29,6 @@ from .trees import SpanningTree
 # 2**51 + 2**35 < 2**52 when n < 2**13 and p < 2**20.  So every partial
 # sum, in whatever order BLAS adds, is an exact integer that balances again.
 _MAX_ORDER = 2**13
-
-# Entries of at most this magnitude are exact in float64 and balance exactly.
-_NARROW = 2**52
 
 # Primes whose residues one elimination carries at once, as a (P, m, m)
 # float64 stack, so that a step costs the same numpy calls for all P.  Set
@@ -102,37 +97,9 @@ def _primes():
             yield p
 
 
-def _check_order(n: int) -> None:
-    if n >= _MAX_ORDER:
-        raise MatrixTooLargeError(
-            f"order {n} matrix; modular elimination is exact below order {_MAX_ORDER}"
-        )
-
-
-def _integer_matrix(rows, n: int) -> np.ndarray:
-    """``rows`` as an n x n integer array: a numpy integer array when every
-    entry is at most ``_NARROW`` in magnitude, else an object array of
-    Python ints.  Raises ValueError for any entry that is not an integer."""
-    a = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
-    if a.shape != (n, n):
-        raise ValueError(f"need a square matrix, got shape {a.shape}")
-    if a.dtype == object:
-        entries = a.ravel().tolist()
-        if not all(isinstance(x, (int, np.integer)) for x in entries):
-            raise ValueError("need integer entries")
-        entries = list(map(int, entries))
-        narrow = max(map(abs, entries)) <= _NARROW
-        return np.array(entries, dtype=np.int64 if narrow else object).reshape(n, n)
-    if a.dtype.kind not in "biu":
-        raise ValueError(f"need integer entries, got dtype {a.dtype}")
-    if a.min() < -_NARROW or a.max() > _NARROW:
-        return a.astype(object)
-    return a
-
-
 def _hadamard_squared(a: np.ndarray) -> int:
     """H**2, the product of the squared row 2-norms, exactly."""
-    if a.dtype != object and int(max(-a.min(), a.max())) ** 2 * len(a) < 2**63:
+    if int(max(-a.min(), a.max())) ** 2 * len(a) < 2**63:
         # No row sum can overflow int64.
         sums = np.einsum("ij,ij->i", a, a, dtype=np.int64, casting="same_kind").tolist()
     else:
@@ -153,8 +120,7 @@ def _stacked_determinants(a: np.ndarray, primes: list[int], s: np.ndarray) -> li
     """det(a) mod each prime, in [0, p), by one elimination over the stack ``s``.
 
     ``s`` has shape (len(primes), m, m) and is overwritten.  Slice i gets
-    the residues of ``a`` mod primes[i]: numpy integers are balanced in
-    float64 in place, Python ints are reduced as integers first.  LU
+    the residues of ``a`` mod primes[i], balanced in float64 in place.  LU
     factorisation with L unit lower and U upper, both stored in each slice,
     then runs on all slices at once.  Step k forms the pivot column of L
     and the pivot row of U (Crout), each by one batched matrix-vector
@@ -168,11 +134,7 @@ def _stacked_determinants(a: np.ndarray, primes: list[int], s: np.ndarray) -> li
     """
     g, m = s.shape[:2]
     q = np.array(primes, dtype=np.float64)[:, None]
-    if a.dtype != object:
-        _balance(np.broadcast_to(a, s.shape), q[:, :, None], 1.0 / q[:, :, None], s, out=s)
-    else:
-        for x, p in zip(s, primes):
-            x[...] = np.mod(a, p)
+    _balance(np.broadcast_to(a, s.shape), q[:, :, None], 1.0 / q[:, :, None], s, out=s)
     # Step k holds its pivot column and pivot row side by side in the first
     # 2(m-k)-1 entries of each row of w.  Whole rows are balanced, so these
     # calls run on contiguous arrays without broadcasting; the stale tail
@@ -217,7 +179,17 @@ def _stacked_determinants(a: np.ndarray, primes: list[int], s: np.ndarray) -> li
 
 
 def _determinant(a: np.ndarray) -> int:
-    """Exact determinant of a matrix from ``_integer_matrix``, by CRT."""
+    """Exact determinant of ``a``: a square integer array of order below
+    ``_MAX_ORDER`` with every entry at most 2**52 in magnitude.
+
+    Residues modulo primes below 2**20, up to ``_STACK`` primes per float64
+    elimination (``_stacked_determinants``), are combined by Chinese
+    remaindering until their product M exceeds 2H, where H, the product of
+    the row 2-norms (Hadamard's bound), bounds |det|.  The residue in
+    (-M/2, M/2) is then the determinant itself.  The precondition keeps
+    every sum of the elimination an integer below 2**52 in magnitude, exact
+    in float64 (the bound is proved at ``_MAX_ORDER``).
+    """
     h2 = _hadamard_squared(a)
     primes, modulus = [], 1
     candidates = _primes()
@@ -237,28 +209,6 @@ def _determinant(a: np.ndarray) -> int:
     return det - modulus if 2 * det > modulus else det
 
 
-def modular_determinant(rows) -> int:
-    """Exact determinant of a square integer matrix, by elimination mod primes.
-
-    Residues modulo primes below 2**20 are combined by Chinese remaindering
-    until their product M exceeds 2H, where H, the product of the row
-    2-norms (Hadamard's bound), bounds |det|.  The residue in (-M/2, M/2)
-    is then the determinant itself.  The residues for a stack of up to
-    ``_STACK`` primes come from one float64 elimination that keeps every
-    residue balanced, |r| <= p/2 + 2, so every sum it forms is an integer
-    below 2**52 in magnitude, exact in float64 (the bound is proved at
-    ``_MAX_ORDER``).  Raises MatrixTooLargeError from order 2**13 on,
-    where that bound would fail, and ValueError for a matrix that is not
-    square or has an entry that is not an integer (floats are refused even
-    when integral).
-    """
-    n = len(rows)
-    if n == 0:
-        return 1
-    _check_order(n)
-    return _determinant(_integer_matrix(rows, n))
-
-
 def count_spanning_trees(g: Graph) -> int:
     """Exact number of labeled spanning trees; 0 for disconnected graphs."""
     if g.n == 0 or not g.is_connected():
@@ -266,7 +216,10 @@ def count_spanning_trees(g: Graph) -> int:
     n = g.n
     if n == 1:
         return 1
-    _check_order(n - 1)  # before allocating the (n-1)^2 matrix
+    if n - 1 >= _MAX_ORDER:  # before allocating the (n-1)^2 matrix
+        raise MatrixTooLargeError(
+            f"order {n - 1} matrix; modular elimination is exact below order {_MAX_ORDER}"
+        )
     return _determinant(_reduced_laplacian(g))
 
 
@@ -288,10 +241,7 @@ def _reduced_laplacian(g: Graph) -> np.ndarray:
 
 def degree_product(g: Graph) -> int:
     """Product of all vertex degrees, exactly."""
-    out = 1
-    for d in g.degrees:
-        out *= d
-    return out
+    return math.prod(g.degrees)
 
 
 def kostochka_upper_bound_holds(g: Graph, count: int) -> bool:
@@ -305,6 +255,14 @@ def kostochka_upper_bound_holds(g: Graph, count: int) -> bool:
     if g.n < 2 or not g.is_connected():
         raise ValueError("bound check requires a connected graph on >= 2 vertices")
     return count * (g.n - 1) <= degree_product(g)
+
+
+def find(parent: list[int], x: int) -> int:
+    """Union-find root of ``x``, halving the path in ``parent`` on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def enumerate_spanning_trees(g: Graph, cap: int) -> list[SpanningTree]:

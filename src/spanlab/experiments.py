@@ -38,6 +38,7 @@ from .graphs import Graph, complete_bipartite
 from .reconfig import sample_vertex_subset, select_leaves, reconfigure
 from .sampling import SAMPLERS, sample_wilson
 from .stats import (
+    RESAMPLES,
     bootstrap_collisions,
     chi_square_uniform,
     collision_rate,
@@ -214,6 +215,10 @@ def exact_vector_distribution(
 # ---------------------------------------------------------------------------
 
 
+# How every CollisionReport's intervals are formed.
+CI_METHOD = f"bootstrap percentile ({RESAMPLES} multinomial resamples)"
+
+
 @dataclass
 class CollisionReport:
     """Pairwise-collision estimate of sum(p^2) with bootstrap intervals."""
@@ -226,7 +231,6 @@ class CollisionReport:
     collision_ci99: tuple[float, float]
     max_mass_bound: float  # sqrt of the collision estimate
     max_class_count: int
-    ci_method: str = "bootstrap percentile (1000 multinomial resamples)"
     bootstrap: np.ndarray | None = field(default=None, repr=False)
 
 

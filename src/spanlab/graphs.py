@@ -114,14 +114,6 @@ def connected(neighbors) -> list[int] | None:
     return parent if len(order) == n else None
 
 
-def find(parent: list[int], x: int) -> int:
-    """Union-find root of ``x``, halving the path in ``parent`` on the way."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
 def build_graph(edges, n: int) -> Graph:
     """Validate an edge list and build a Graph.
 

@@ -33,8 +33,13 @@ def collision_rate(counts, trials: int) -> float:
     return pairs / (trials * (trials - 1) / 2)
 
 
-def bootstrap_collisions(counts, trials: int, rng, resamples: int = 1000) -> np.ndarray:
-    """Bootstrap distribution of the pairwise-collision rate.
+# Multinomial resamples per bootstrap.  One at a time: a batched draw holds
+# a resamples x classes array, about 190 MB at 23630 classes.
+RESAMPLES = 1000
+
+
+def bootstrap_collisions(counts, trials: int, rng) -> np.ndarray:
+    """Bootstrap distribution of the pairwise-collision rate, ``RESAMPLES`` long.
 
     Collision counts are U-statistics with nonstandard variance, so CIs
     come from resampling rather than a normal approximation.
@@ -42,11 +47,11 @@ def bootstrap_collisions(counts, trials: int, rng, resamples: int = 1000) -> np.
     counts = np.asarray(list(counts), dtype=np.int64)
     if not counts.size:
         # No class to resample, so no pair collides (as in collision_rate).
-        return np.zeros(resamples)
+        return np.zeros(RESAMPLES)
     probs = counts / trials
-    out = np.empty(resamples)
+    out = np.empty(RESAMPLES)
     denom = trials * (trials - 1) / 2
-    for b in range(resamples):
+    for b in range(RESAMPLES):
         re = rng.multinomial(trials, probs)
         out[b] = (re * (re - 1)).sum() / 2 / denom
     return out

@@ -28,7 +28,7 @@ def test_collision_rate_hand_values():
 def test_bootstrap_collisions_centered():
     rng = np.random.default_rng(3)
     counts = [500, 300, 200]
-    boots = st.bootstrap_collisions(counts, 1000, rng, resamples=400)
+    boots = st.bootstrap_collisions(counts, 1000, rng)
     point = st.collision_rate(counts, 1000)
     assert abs(float(boots.mean()) - point) < 0.02
     lo, hi = st.percentile_interval(boots, 0.95)
