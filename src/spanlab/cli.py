@@ -1,10 +1,13 @@
 """Command-line entry point: graph input, dispatch, and report output.
 
 Subcommands: count-exact, enumerate, sample, reconfigure, count-noniso,
-experiment {lemma35|pipeline|conjecture|leaves|uniformity}.  Exit codes:
-0 success, 1 domain error, 2 usage error.  Reports echo the resolved
-seed; identical (config, seed) pairs produce byte-identical payloads
-(timestamps live in a separate field).
+experiment {lemma35|pipeline|conjecture|leaves|uniformity}, the kind right
+after ``experiment``.  Each parses only the flags it reads, so ``config``
+records only settings that took effect; every one takes ``--jobs``, which
+only pipeline and conjecture read.  Exit codes: 0 success, 1 domain
+error, 2 usage error.  Reports echo the resolved seed; identical (config,
+seed) pairs produce byte-identical payloads (timestamps live in a
+separate field).
 """
 
 from __future__ import annotations
@@ -113,49 +116,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"spanlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials=positive_int):
-        p.add_argument("--graph", metavar="FILE", help="graph text file (n m header)")
-        p.add_argument(
-            "--gen",
-            metavar="SPEC",
-            help="generated family: complete:n | bipartite:a,b | regular:d,n | gnp:n,p,d",
-        )
+    def command(parent, name, help=None, graph=True, trials=None):
+        # --graph/--gen unless ``graph`` is false, --trials if ``trials`` types it.
+        p = parent.add_parser(name, help=help)
+        if graph:
+            p.add_argument("--graph", metavar="FILE", help="graph text file (n m header)")
+            p.add_argument(
+                "--gen",
+                metavar="SPEC",
+                help="generated family: complete:n | bipartite:a,b | regular:d,n | gnp:n,p,d",
+            )
         p.add_argument("--seed", type=u64, default=None, help="64-bit master seed")
-        p.add_argument("--trials", type=trials, default=1000)
+        if trials is not None:
+            p.add_argument("--trials", type=trials, default=1000)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
         p.add_argument("--jobs", type=job_count, default=1, help="worker processes for trial loops")
+        return p
 
-    p = sub.add_parser("count-exact", help="exact spanning-tree count and degree-product bound")
-    common(p)
+    command(sub, "count-exact", "exact spanning-tree count and degree-product bound")
 
-    p = sub.add_parser("enumerate", help="list every spanning tree (cap-guarded)")
-    common(p)
+    p = command(sub, "enumerate", "list every spanning tree (cap-guarded)")
     p.add_argument("--cap", type=positive_int, default=10**5)
 
-    p = sub.add_parser("sample", help="sample uniform spanning trees")
-    common(p)
+    p = command(sub, "sample", "sample uniform spanning trees", trials=positive_int)
     p.add_argument("--sampler", choices=sorted(SAMPLERS), default="wilson")
 
-    p = sub.add_parser("reconfigure", help="run and audit leaf reconfigurations")
-    common(p)
+    p = command(sub, "reconfigure", "run and audit leaf reconfigurations", trials=positive_int)
     p.add_argument(
         "--dump-selections",
         action="store_true",
         help="include every selected leaf and its candidate parents",
     )
 
-    p = sub.add_parser("count-noniso", help="count non-isomorphic spanning trees")
-    common(p)
+    p = command(sub, "count-noniso", "count non-isomorphic spanning trees")
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     p.add_argument("--budget", type=positive_int, default=10**4)
 
-    p = sub.add_parser("experiment", help="Monte Carlo experiment suites")
-    p.add_argument(
-        "kind", choices=("lemma35", "pipeline", "conjecture", "leaves", "uniformity")
-    )
-    common(p, trials=at_least_two)
-    p.add_argument("--sampler", choices=sorted(SAMPLERS), default="wilson")
+    experiment = sub.add_parser("experiment", help="Monte Carlo experiment suites")
+    kinds = experiment.add_subparsers(dest="kind", required=True)
+    command(kinds, "lemma35", trials=at_least_two)
+    p = command(kinds, "pipeline", trials=at_least_two)
+    p.add_argument("--per-trial", action="store_true", help="include per-trial digests in the report")
+    p = command(kinds, "conjecture", graph=False, trials=at_least_two)
     p.add_argument("--d", type=positive_int, default=3, help="small-side size for conjecture runs")
     p.add_argument(
         "--sizes",
@@ -163,9 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="50,100,200,400",
         help="comma-separated graph orders for conjecture runs",
     )
-    p.add_argument(
-        "--per-trial", action="store_true", help="include per-trial digests in the report"
-    )
+    p = command(kinds, "leaves", trials=at_least_two)
+    p.add_argument("--sampler", choices=sorted(SAMPLERS), default="wilson")
+    p = command(kinds, "uniformity", trials=at_least_two)
     p.add_argument("--cap", type=positive_int, default=75, help="uniformity support cap")
     return parser
 

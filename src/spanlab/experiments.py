@@ -372,32 +372,16 @@ def _bootstrap(values: list, trials: int, seed: int, which: int) -> np.ndarray:
     return bootstrap_collisions(values, trials, rnglib.stream(seed, rnglib.BOOTSTRAP, which))
 
 
-def _results(futures):
-    """The results of ``futures`` in order, each future taken off the list
-    as it is read (a done future holds its rows)."""
-    while futures:
-        yield futures.pop(0).result()
-
-
-class _Later:
-    """A task of the in-process pool at ``jobs=1``: it runs when its result
-    is asked for, so tasks run in the order a pool would start them."""
-
-    def __init__(self, fn, *args):
-        self.fn, self.args = fn, args
-
-    def result(self):
-        return self.fn(*self.args)
-
-
 def _run_chunked(worker, heads: list, trials: int, jobs: int, keep_rows: bool = False):
     """Pipeline trials ``0:trials`` of every head ``(g, seed)`` and the
     bootstraps of their tallies, on one pool of ``jobs`` processes (or in
     this process at ``jobs=1``).
 
     ``worker((g, seed, lo, hi))`` returns the rows of trials ``lo:hi``, each
-    ``(histogram, code or held tree, branch)`` (``_pipeline_chunk``).  The
-    chunks of every head are submitted up front, in the order of ``heads``.
+    ``(histogram, code or held tree, branch)`` (``_pipeline_chunk``).  Tasks
+    go through the pool's ordered ``map``, which submits the chunks of every
+    head up front, in the order of ``heads``; at ``jobs=1`` the builtin
+    ``map`` runs each task when its result is read, in the same order.
     Once a head's chunks are in, its rows are tallied (``_tally_head``,
     which codes a held tree only if its histogram repeats in the head or
     ``keep_rows`` asks for every code) and dropped, and its two bootstraps
@@ -411,17 +395,15 @@ def _run_chunked(worker, heads: list, trials: int, jobs: int, keep_rows: bool = 
     chunk = max(1, -(-trials // (jobs * 8)))
     bounds = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        submit = pool.submit if pool is not None else _Later
-        parts = [[submit(worker, (*head, lo, hi)) for lo, hi in bounds] for head in heads]
+        run = map if pool is None else pool.map
+        parts = [run(worker, [(*head, lo, hi) for lo, hi in bounds]) for head in heads]
         pending = []
-        for (_, seed), futures in zip(heads, parts):
-            counters, rows = _tally_head(_results(futures), keep_rows)
-            boots = [
-                submit(_bootstrap, list(counter.values()), trials, seed, which)
-                for which, counter in enumerate(counters[:2])
-            ]
+        for (_, seed), chunks in zip(heads, parts):
+            counters, rows = _tally_head(chunks, keep_rows)
+            values = [list(counter.values()) for counter in counters[:2]]
+            boots = run(_bootstrap, values, (trials,) * 2, (seed,) * 2, (0, 1))
             pending.append((counters, boots, rows))
-        return [(counters, [b.result() for b in boots], rows) for counters, boots, rows in pending]
+        return [(counters, list(boots), rows) for counters, boots, rows in pending]
 
 
 def _pipeline_reports(counters, boots, trials: int) -> tuple[CollisionReport, CollisionReport]:

@@ -5,7 +5,9 @@
 ``experiments.ProcessPoolExecutor`` for a stand-in that runs nothing and
 returns empty results, then replays each recorded call through it.  A
 refactor that renames any of them, or that cannot take empty results,
-breaks a traced benchmark run; these checks fail first.  ``spans.py`` is
+breaks a traced benchmark run; these checks fail first.  The benchmark
+also runs fixed CLI commands (``spanbench/workloads.py``), so every flag
+they pass must stay accepted.  ``spans.py`` and ``workloads.py`` are
 parsed, not imported, so nothing under ``spanbench/`` is executed or
 written.
 """
@@ -13,14 +15,18 @@ written.
 import ast
 import importlib
 import inspect
+import os
 from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 
 from spanlab import experiments
+from spanlab.cli import build_parser
 
-SPANS = Path(__file__).resolve().parents[1] / "spanbench" / "spans.py"
+SPANBENCH = Path(__file__).resolve().parents[1] / "spanbench"
+SPANS = SPANBENCH / "spans.py"
+WORKLOADS = SPANBENCH / "workloads.py"
 
 
 def _traced() -> tuple[tuple[str, str], ...]:
@@ -108,3 +114,29 @@ def test_pool_probe_replay_of_a_sweep(monkeypatch, jobs):
     boots = [t for t in StandInPool.tasks if len(t) == 4]
     assert len(chunks) == 2 * 16 and len(boots) == 2 * 2
     assert len(StandInPool.tasks) == 36
+
+
+def _workload_argvs() -> list[list[str]]:
+    """The argv of every ``Command(...)`` in ``workloads.py``, each element
+    that is not a string literal (a graph path, a trial count) read as "2",
+    which every flag's type accepts."""
+    argvs = []
+    for node in ast.walk(ast.parse(WORKLOADS.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Command":
+            argv = node.args[1] if len(node.args) > 1 else next(
+                k.value for k in node.keywords if k.arg == "argv"
+            )
+            argvs.append([
+                e.value if isinstance(e, ast.Constant) and isinstance(e.value, str) else "2"
+                for e in argv.elts
+            ])
+    return argvs
+
+
+def test_every_workload_command_parses():
+    # The benchmark appends --seed, --jobs (1 or 2) and --out to each command.
+    argvs = _workload_argvs()
+    assert {a[0] for a in argvs} == {"experiment", "count-exact"} and len(argvs) == 4
+    jobs = str(min(2, os.cpu_count() or 1))
+    for argv in argvs:
+        build_parser().parse_args([*argv, "--seed", "0", "--jobs", jobs, "--out", "x"])

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -340,11 +341,82 @@ def test_usage_errors_exit_two(capsys):
         ["experiment", "conjecture", "--sizes", "50,0"],
         ["experiment", "conjecture", "--sizes", "50,,100"],
         ["experiment", "conjecture", "--sizes", "fifty"],
+        # A flag the command does not read, or an option before the kind.
+        ["experiment", "conjecture", "--gen", "regular:16,2048", "--graph", "/nonexistent",
+         "--d", "3", "--sizes", "20,40", "--trials", "10", "--seed", "1"],
+        ["experiment", "pipeline", "--gen", "complete:5", "--sampler", "ab", "--cap", "3",
+         "--d", "9", "--sizes", "5,6"],
+        ["count-exact", "--gen", "complete:4", "--trials", "5"],
+        ["experiment", "--trials", "5", "pipeline", "--gen", "complete:5"],
     ):
         # argparse rejects each value before any handler, and so any pool, runs.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+# The flags each command and experiment kind parses: every one is read.
+_REPORT = ("--seed", "--format", "--out", "--jobs")
+_GRAPH = ("--graph", "--gen")
+OPTIONS = {
+    "count-exact": {*_GRAPH, *_REPORT},
+    "enumerate": {*_GRAPH, *_REPORT, "--cap"},
+    "sample": {*_GRAPH, *_REPORT, "--trials", "--sampler"},
+    "reconfigure": {*_GRAPH, *_REPORT, "--trials", "--dump-selections"},
+    "count-noniso": {*_GRAPH, *_REPORT, "--mode", "--budget"},
+    "experiment lemma35": {*_GRAPH, *_REPORT, "--trials"},
+    "experiment pipeline": {*_GRAPH, *_REPORT, "--trials", "--per-trial"},
+    "experiment conjecture": {*_REPORT, "--trials", "--d", "--sizes"},
+    "experiment leaves": {*_GRAPH, *_REPORT, "--trials", "--sampler"},
+    "experiment uniformity": {*_GRAPH, *_REPORT, "--trials", "--cap"},
+}
+
+
+def _subparsers(parser):
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_each_command_parses_only_the_flags_it_reads(capsys):
+    found = {}
+    for command, p in _subparsers(cli.build_parser()).items():
+        leaves = _subparsers(p) if command == "experiment" else {None: p}
+        for kind, leaf in leaves.items():
+            name = command if kind is None else f"{command} {kind}"
+            found[name] = {
+                opt for a in leaf._actions for opt in a.option_strings if opt not in ("-h", "--help")
+            }
+    assert found == OPTIONS
+    assert sum(map(len, found.values())) == 75
+    # The 25 flags each command used to take and never read are refused.
+    refused = 0
+    for name, options in OPTIONS.items():
+        taken = {*_GRAPH, *_REPORT, "--trials"}
+        if name.startswith("experiment"):
+            taken |= {"--sampler", "--d", "--sizes", "--per-trial", "--cap"}
+        for opt in taken - options:
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args([*name.split(), f"{opt}=2"])
+            assert exc.value.code == 2, (name, opt)
+            assert f"unrecognized arguments: {opt}=2" in capsys.readouterr().err
+            refused += 1
+    assert refused == 25
+
+
+@pytest.mark.parametrize(
+    "argv,unread",
+    [
+        (["experiment", "pipeline", "--gen", "complete:5", "--trials", "5"], {"sampler", "cap"}),
+        (["experiment", "conjecture", "--sizes", "30,60", "--trials", "5"], {"sampler", "cap"}),
+        (["count-exact", "--gen", "complete:4"], {"trials"}),
+    ],
+    ids=["pipeline", "conjecture", "count-exact"],
+)
+def test_config_records_only_settings_read(capsys, argv, unread):
+    code, report = run_json(capsys, *argv, "--seed", "1", "--jobs", "1")
+    assert code == 0
+    assert report["config"]["jobs"] == 1  # accepted everywhere
+    assert not unread & set(report["config"])
 
 
 @pytest.mark.parametrize(
@@ -520,21 +592,22 @@ _SPECS = st.one_of(
     st.sampled_from(["complete:x", "regular:3", "gnp:5,2,1", "star:4", ""]),
 )
 
-# Every subcommand, sampler and experiment kind; {limit} is a cap or budget.
+# Every subcommand, sampler and experiment kind; {limit} is a cap or budget,
+# {trials} a trial count, given only to the commands that take one.
 _COMMANDS = [
     "count-exact",
     "enumerate --cap {limit}",
-    "sample --sampler wilson",
-    "sample --sampler ab",
-    "sample --sampler reject",
-    "reconfigure",
-    "reconfigure --dump-selections",
+    "sample --sampler wilson --trials {trials}",
+    "sample --sampler ab --trials {trials}",
+    "sample --sampler reject --trials {trials}",
+    "reconfigure --trials {trials}",
+    "reconfigure --dump-selections --trials {trials}",
     "count-noniso --mode exact --budget {limit}",
     "count-noniso --mode sampled --budget {limit}",
-    "experiment lemma35",
-    "experiment pipeline",
-    "experiment leaves",
-    "experiment uniformity --cap {limit}",
+    "experiment lemma35 --trials {trials}",
+    "experiment pipeline --trials {trials}",
+    "experiment leaves --trials {trials}",
+    "experiment uniformity --cap {limit} --trials {trials}",
 ]
 
 
@@ -548,7 +621,7 @@ _COMMANDS = [
     st.integers(0, 2**64 - 1),
 )
 def test_cli_fuzz_every_subcommand(command, limit, spec, fmt, trials, seed):
-    argv = [*command.format(limit=limit).split(), "--gen", spec, "--format", fmt, "--trials", str(trials),
+    argv = [*command.format(limit=limit, trials=trials).split(), "--gen", spec, "--format", fmt,
             "--seed", str(seed), "--jobs", "1"]
     out, err = io.StringIO(), io.StringIO()
     # In process, a traceback would be an exception escaping main().
@@ -559,6 +632,8 @@ def test_cli_fuzz_every_subcommand(command, limit, spec, fmt, trials, seed):
             code = exc.code
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
+    # Exit 2 must come from a bad value, never from a flag the command lacks.
+    assert "unrecognized arguments" not in err.getvalue(), argv
     if code == 1:
         assert json.loads(err.getvalue())["error"] in TYPED_CODES, argv
     if code == 0 and fmt == "json":
