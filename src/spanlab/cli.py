@@ -2,12 +2,12 @@
 
 Subcommands: count-exact, enumerate, sample, reconfigure, count-noniso,
 experiment {lemma35|pipeline|conjecture|leaves|uniformity}, the kind right
-after ``experiment``.  Each parses only the flags it reads, so ``config``
-records only settings that took effect; every one takes ``--jobs``, which
-only pipeline and conjecture read.  Exit codes: 0 success, 1 domain
-error, 2 usage error.  Reports echo the resolved seed; identical (config,
-seed) pairs produce byte-identical payloads (timestamps live in a
-separate field).
+after ``experiment``.  Each parses only the flags it reads, and flags must
+be spelled in full; every one takes ``--jobs``, which only pipeline and
+conjecture read.  ``config`` records every option the command took except
+``--out``, with the resolved seed, so it replays the run.  Exit codes: 0
+success, 1 domain error, 2 usage error.  Identical (config, seed) pairs
+produce byte-identical payloads (timestamps live in a separate field).
 """
 
 from __future__ import annotations
@@ -110,6 +110,7 @@ def size_list(text: str) -> tuple[int, ...]:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spanlab",
+        allow_abbrev=False,
         description="Spanning-tree sampling, exact counting, leaf reconfiguration, "
         "and degree-sequence anticoncentration experiments.",
     )
@@ -118,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(parent, name, help=None, graph=True, trials=None):
         # --graph/--gen unless ``graph`` is false, --trials if ``trials`` types it.
-        p = parent.add_parser(name, help=help)
+        p = parent.add_parser(name, help=help, allow_abbrev=False)
         if graph:
             p.add_argument("--graph", metavar="FILE", help="graph text file (n m header)")
             p.add_argument(
@@ -153,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     p.add_argument("--budget", type=positive_int, default=10**4)
 
-    experiment = sub.add_parser("experiment", help="Monte Carlo experiment suites")
+    experiment = sub.add_parser("experiment", help="Monte Carlo experiment suites", allow_abbrev=False)
     kinds = experiment.add_subparsers(dest="kind", required=True)
     command(kinds, "lemma35", trials=at_least_two)
     p = command(kinds, "pipeline", trials=at_least_two)
@@ -486,14 +487,8 @@ def _emit(args, payload, rows, seed, started) -> int:
         writer.writerows(rows)
         text = buf.getvalue()
     else:
-        config = {
-            "command": args.command,
-            "seed": seed,
-            "format": args.format,
-        }
-        for key in ("trials", "sampler", "mode", "budget", "cap", "jobs", "kind"):
-            if hasattr(args, key):
-                config[key] = getattr(args, key)
+        config = {key: value for key, value in vars(args).items() if key != "out"}
+        config["seed"] = seed
         report = {
             "version": __version__,
             "config": config,

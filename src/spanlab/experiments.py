@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -149,65 +150,45 @@ def _vector_from_picks(inst: BipartiteOneOutInstance, picks) -> tuple:
 def exact_vector_distribution(
     inst: BipartiteOneOutInstance, cap: int = 2**20
 ) -> dict[tuple, Fraction]:
-    """Exhaustive law of the degree-vector digest (all choices equal mass)."""
+    """Exact law of the degree-vector digest, every choice tuple equally likely.
+
+    A dynamic program over the A-vertices in order.  A state is the pick
+    counts of the B-vertices that some later A-vertex can still choose and
+    the sorted tuple of values already final, weighted by the number of
+    choice prefixes that reach it.  A B-vertex's value, count plus offset,
+    is final after ``last[u]``, the last A-vertex that can choose it.  The
+    fixed values (1 + offset on side A, the offset of a B-vertex no
+    A-vertex can choose) join at the end.  Keys come back in sorted order.
+    """
     outcomes = inst.outcome_count()
     if outcomes > cap:
         raise CapExceededError(f"{outcomes} outcomes exceed the cap of {cap}")
     offs = inst.offsets
-    hist: dict[int, int] = {}
-
-    def bump(k, delta):
-        c = hist.get(k, 0) + delta
-        if c:
-            hist[k] = c
-        else:
-            del hist[k]
-
-    for v in inst.a_vertices:
-        bump(1 + offs[v], +1)
-    indeg = {u: 0 for u in inst.b_vertices}
-    for u in inst.b_vertices:
-        bump(offs[u], +1)
-
-    def pick(u):
-        old = indeg[u] + offs[u]
-        bump(old, -1)
-        bump(old + 1, +1)
-        indeg[u] += 1
-
-    def unpick(u):
-        indeg[u] -= 1
-        old = indeg[u] + offs[u]
-        bump(old + 1, -1)
-        bump(old, +1)
-
-    # Depth-first over the choice tuples on an explicit stack: at[i] is the
-    # index of the choice level i holds, -1 before its first one.
-    counts: Counter[tuple] = Counter()
     options = [inst.choices[v] for v in inst.a_vertices]
-    depth = len(options)
-    at = [-1] * depth
-    i = 0
-    while i >= 0:
-        if i == depth:
-            counts[tuple(sorted(hist.items()))] += 1
-            i -= 1
-            continue
-        opts = options[i]
-        k = at[i]
-        if k >= 0:
-            unpick(opts[k])
-        k += 1
-        if k == len(opts):
-            at[i] = -1
-            i -= 1
-        else:
-            at[i] = k
-            pick(opts[k])
-            i += 1
-
-    unit = Fraction(1, outcomes)
-    return {key: c * unit for key, c in counts.items()}
+    last = {u: i for i, opts in enumerate(options) for u in opts}
+    states = Counter({((), ()): 1})
+    for i, opts in enumerate(options):
+        closing = [u for u in dict.fromkeys(opts) if last[u] == i]
+        grown: Counter[tuple] = Counter()
+        for (picked, final), weight in states.items():
+            counts = dict(picked)
+            shut = {u: counts.pop(u, 0) + offs[u] for u in closing}
+            done = tuple(sorted(final + tuple(shut.values())))
+            rest = tuple(counts.items())
+            for value, times in Counter(shut[u] for u in opts if u in shut).items():
+                j = bisect_right(done, value) - 1  # raising its last copy keeps done sorted
+                grown[rest, done[:j] + (value + 1,) + done[j + 1 :]] += weight * times
+            for u in opts:
+                if u not in shut:
+                    bumped = {**counts, u: counts.get(u, 0) + 1}
+                    grown[tuple(sorted(bumped.items())), done] += weight
+        states = grown
+    fixed = [1 + offs[v] for v in inst.a_vertices]
+    fixed += [offs[u] for u in inst.b_vertices if u not in last]
+    law: Counter[tuple] = Counter()
+    for (_, final), weight in states.items():
+        law[histogram_key(fixed + list(final))] += weight
+    return {key: Fraction(law[key], outcomes) for key in sorted(law)}
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,86 @@ def test_config_records_only_settings_read(capsys, argv, unread):
     assert not unread & set(report["config"])
 
 
+def _config(capsys, argv):
+    code, report = run_json(capsys, *argv, "--seed", "5")
+    assert code == 0, argv
+    return report["config"]
+
+
+@pytest.mark.parametrize(
+    "argv,flag,value,other",
+    [
+        (["experiment", "conjecture", "--trials", "5", "--sizes"], "sizes", "20,40", "20,80"),
+        (["experiment", "conjecture", "--trials", "5", "--sizes", "20,40", "--d"], "d", "3", "2"),
+        (["count-exact", "--gen"], "gen", "complete:4", "complete:5"),
+        (["count-exact", "--graph"], "graph", "c5.txt", "c6.txt"),
+        (["experiment", "pipeline", "--gen", "complete:5", "--trials", "5"], "per_trial", None, None),
+        (["reconfigure", "--gen", "bipartite:3,10", "--trials", "2"], "dump_selections", None, None),
+    ],
+    ids=["sizes", "d", "gen", "graph", "per-trial", "dump-selections"],
+)
+def test_config_tells_apart_runs_that_differ_in_one_flag(capsys, tmp_path, argv, flag, value, other):
+    sl.write_graph_file(sl.cycle_graph(5), tmp_path / "c5.txt")
+    sl.write_graph_file(sl.cycle_graph(6), tmp_path / "c6.txt")
+    if flag == "graph":
+        value, other = str(tmp_path / value), str(tmp_path / other)
+    if value is None:  # a switch: on against off
+        first, second = _config(capsys, [*argv, "--" + flag.replace("_", "-")]), _config(capsys, argv)
+    else:
+        first, second = _config(capsys, [*argv, value]), _config(capsys, [*argv, other])
+    assert {k for k in first if first[k] != second[k]} == {flag}
+
+
+def argv_from_config(config):
+    """The command line that ``config`` alone describes."""
+    argv = [config["command"]] + ([config["kind"]] if "kind" in config else [])
+    for key, value in config.items():
+        if key in ("command", "kind") or value is None or value is False:
+            continue
+        argv.append("--" + key.replace("_", "-"))
+        if value is not True:
+            argv.append(",".join(map(str, value)) if isinstance(value, list) else str(value))
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "conjecture", "--sizes", "20,40", "--trials", "10"],
+        ["experiment", "pipeline", "--gen", "regular:4,30", "--trials", "5", "--per-trial"],
+        ["reconfigure", "--gen", "bipartite:3,10", "--trials", "2", "--dump-selections"],
+        ["count-exact", "--gen", "gnp:30,0.3,2"],
+    ],
+    ids=["conjecture", "pipeline-per-trial", "reconfigure-dump", "count-exact-gen"],
+)
+def test_config_alone_replays_the_run(capsys, argv):
+    code, first = run_json(capsys, *argv)
+    assert code == 0
+    code, replay = run_json(capsys, *argv_from_config(first["config"]))
+    assert code == 0
+    assert replay["config"] == first["config"]
+    assert json.dumps(replay["results"], sort_keys=True) == json.dumps(first["results"], sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reconfigure", "--gen", "bipartite:3,10", "--t", "2", "--d"],
+        ["experiment", "conjecture", "--siz", "20,40", "--tri", "10", "--j", "1"],
+        ["count-exact", "--ge", "complete:4"],
+        ["--vers"],
+    ],
+    ids=["reconfigure", "conjecture", "count-exact", "root"],
+)
+def test_abbreviated_flags_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    # Read as --version, "--vers" would print the version and exit 0.
+    assert captured.out == "" and "spanlab: error:" in captured.err
+
+
 @pytest.mark.parametrize(
     "spec,reason",
     [

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import spanlab as sl
-from spanlab import LOW_BRANCH, BipartiteOneOutInstance, CapExceededError, SpanningTree
+from spanlab import HIGH_BRANCH, LOW_BRANCH, BipartiteOneOutInstance, CapExceededError, SpanningTree
 from spanlab import experiments
 from spanlab.experiments import _pipeline_chunk, _vector_from_picks, sample_choices
 from spanlab.graphs import GraphSpec, generate
@@ -142,23 +142,66 @@ def test_exact_distribution_cap():
         sl.exact_vector_distribution(inst, cap=2**20)
 
 
+def product_law(inst):
+    """Oracle: every choice tuple, digested with the sampler's own histogram code."""
+    counts: dict[tuple, int] = {}
+    for picks in product(*(inst.choices[v] for v in inst.a_vertices)):
+        key = _vector_from_picks(inst, picks)
+        counts[key] = counts.get(key, 0) + 1
+    unit = Fraction(1, inst.outcome_count())
+    return {key: c * unit for key, c in counts.items()}
+
+
 def test_exact_distribution_matches_product_enumeration():
-    # Oracle: enumerate every choice tuple in the same depth-first order as
-    # the walk and digest each with the sampler's own histogram code.
     rng = np.random.default_rng(67)
     for trial in range(40):
         k = int(rng.integers(0, 6))
         degs = [int(rng.integers(1, 5)) for _ in range(k)] or [1]
         offsets = {v: int(rng.integers(0, 3)) for v in range(len(degs) + max(degs))}
         inst = make_instance(degs, offsets)
-        counts: dict[tuple, int] = {}
-        for picks in product(*(inst.choices[v] for v in inst.a_vertices)):
-            key = _vector_from_picks(inst, picks)
-            counts[key] = counts.get(key, 0) + 1
-        unit = Fraction(1, inst.outcome_count())
-        expected = {key: c * unit for key, c in counts.items()}
+        expected = product_law(inst)
         got = sl.exact_vector_distribution(inst)
-        assert list(got.items()) == list(expected.items())
+        assert got == expected and list(got) == sorted(got)
+
+
+def test_exact_distribution_on_arbitrary_choice_subsets():
+    # Choice lists in any order, some with a repeated vertex: B-vertices
+    # close at different steps, and some no A-vertex can choose.
+    rng = np.random.default_rng(71)
+    for trial in range(60):
+        k, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        b = tuple(range(k, k + m))
+        choices = {
+            v: tuple(int(u) for u in rng.choice(b, int(rng.integers(1, m + 1)), trial % 4 == 0))
+            for v in range(k)
+        }
+        offsets = {v: int(rng.integers(0, 3)) for v in range(k + m)}
+        inst = BipartiteOneOutInstance(tuple(range(k)), b, choices, offsets)
+        assert sl.exact_vector_distribution(inst) == product_law(inst), trial
+
+
+@pytest.mark.parametrize(
+    "spec,leaves,branch",
+    [("bipartite:3,30", 7, LOW_BRANCH), ("regular:16,24", 3, HIGH_BRANCH)],
+    ids=["low", "high"],
+)
+def test_exact_distribution_on_selections(spec, leaves, branch):
+    # The first leaves of each selection keep the enumeration small.
+    g = generate(GraphSpec.parse(spec), 11)
+    for t in range(4):
+        tree = sl.sample_wilson(g, sl.stream(11, 1, t))
+        outcome = sl.select_leaves(g, tree, sl.sample_vertex_subset(g.n, sl.stream(11, 2, t)))
+        assert outcome.branch == branch
+        kept = dict(list(outcome.selection.items())[:leaves])
+        inst = sl.instance_from_selection(g, tree, kept)
+        assert sl.exact_vector_distribution(inst) == product_law(inst), t
+
+
+def test_exact_distribution_without_a_vertices():
+    # One outcome: every B-vertex keeps its offset.
+    inst = BipartiteOneOutInstance((), (0, 1, 2), {}, {0: 4, 1: 0, 2: 4})
+    law = {((0, 1), (4, 2)): Fraction(1)}
+    assert sl.exact_vector_distribution(inst) == product_law(inst) == law
 
 
 def test_exact_distribution_deep_instance():
