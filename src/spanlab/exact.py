@@ -3,10 +3,12 @@
 ``count_spanning_trees`` is the one way into the exact determinant: the
 count is the determinant of the reduced Laplacian, evaluated by
 multi-modular elimination + CRT, Hadamard-bounded (``_determinant``), so
-results are bit-exact at any size.  Fraction-free (Bareiss) elimination
-is kept as the independent oracle that the tests check against and the
-benchmark traces.  Enumeration is contraction/deletion on an explicit
-stack with a cap guard.
+results are bit-exact at any size.  The primes are sized to the order of
+the matrix, as large as keeps float64 elimination exact, and eliminated
+``_STACK`` = 8 at a time.  Fraction-free (Bareiss) elimination is kept
+as the independent oracle that the tests check against and the benchmark
+traces.  Enumeration is contraction/deletion on an explicit stack with a
+cap guard.
 """
 
 from __future__ import annotations
@@ -23,19 +25,21 @@ from .trees import SpanningTree
 # Residues are balanced: r = x - rint(x * (1/p)) * p.  For an integer
 # |x| <= 2**52 the computed quotient carries two roundings, so it is within
 # 1.01/p of x/p; hence |r| <= p/2 + 2, and rint(...) * p, at most |x| + p in
-# magnitude, is exact too.  Every partial sum of the elimination is one
-# entry, balanced or in [0, p), minus at most n products of two balanced
-# residues, so its magnitude is at most n*(p/2 + 2)**2 + p, below
-# 2**51 + 2**35 < 2**52 when n < 2**13 and p < 2**20.  So every partial
-# sum, in whatever order BLAS adds, is an exact integer that balances again.
+# magnitude, is exact too.  Every partial sum of the elimination of an
+# order-m matrix is one entry, balanced or in [0, p), minus at most m
+# products of two balanced residues, so its magnitude is at most
+# m*(p/2 + 2)**2 + p, which ``_top(m)`` keeps below 2**52 by the choice of
+# p.  So every partial sum, in whatever order BLAS adds, is an exact
+# integer that balances again.  At m < 2**13 the primes between 2**19 and
+# 2**20 all qualify, so the Hadamard bound of any matrix in the kernel's
+# range is covered.
 _MAX_ORDER = 2**13
 
 # Primes whose residues one elimination carries at once, as a (P, m, m)
-# float64 stack, so that a step costs the same numpy calls for all P.  Set
-# by measurement at n = 150 (CHANGES.md): each slice adds 8*m*m bytes to
-# peak memory, and P = 6, about 20% faster, raised count-exact's peak RSS by
-# 4.2-4.8% over per-prime elimination, against a 5% bound.
-_STACK = 4
+# float64 stack, so that a step costs the same numpy calls for all P.  Each
+# slice adds 8*m*m bytes to peak memory: the stack of 8 holds 1.42 MB at
+# order 149 and 10.2 MB at order 399 (CHANGES.md).
+_STACK = 8
 
 # Columns per block of the elimination.  Crout steps inside a block take
 # their products over the block's columns only; the finished block is then
@@ -43,6 +47,11 @@ _STACK = 4
 # Without blocks every step re-reads the whole factored part, and at
 # n = 400 the stack no longer fits in cache (CHANGES.md).
 _BLOCK = 32
+
+# Width of the window of integers that ``_primes`` sieves at a time, at one
+# slice per prime below sqrt(p): about 250 primes near 2**23, five times
+# what count-exact uses at order 149.
+_WINDOW = 2**12
 
 
 class CapExceededError(RuntimeError):
@@ -88,13 +97,44 @@ def bareiss_determinant(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _primes():
-    """Primes between 2**19 and 2**20, largest first."""
-    # Trial division by the odd primes below 2**10 > sqrt(p).
-    small = [d for d in range(3, 2**10, 2) if all(map(d.__mod__, range(3, math.isqrt(d) + 1, 2)))]
-    for p in range(2**20 - 1, 2**19, -2):
-        if all(map(p.__mod__, small)):
-            yield p
+def _top(m: int) -> int:
+    """The largest p < 2**26 with m*(p/2 + 2)**2 + p < 2**52.
+
+    The 2**26 cap keeps a pivot scaling, a balanced residue times an
+    inverse below p, under 2**52 too.
+    """
+
+    def fits(p):
+        return m * (p + 4) ** 2 + 4 * p < 2**54  # the bound, times 4
+
+    p = min(2**26 - 1, math.isqrt(2**54 // m) - 4)
+    while not fits(p):
+        p -= 1
+    while p + 1 < 2**26 and fits(p + 1):
+        p += 1
+    return p
+
+
+def _primes(m: int):
+    """Primes between 2**19 and ``_top(m)``, largest first, for a matrix of
+    order m."""
+    hi = _top(m) + 1
+    root = math.isqrt(hi) + 1
+    small = np.ones(root, dtype=bool)
+    small[:2] = False
+    for d in range(2, math.isqrt(root) + 1):
+        if small[d]:
+            small[d * d::d] = False
+    small = np.flatnonzero(small).tolist()
+    while hi > 2**19 + 1:
+        lo = max(hi - _WINDOW, 2**19 + 1)
+        # Cross out every multiple of a small prime in [lo, hi); all of
+        # them are composite, as lo > 2**19 exceeds every small prime.
+        keep = np.ones(hi - lo, dtype=bool)
+        for d in small:
+            keep[-lo % d::d] = False
+        yield from (np.flatnonzero(keep)[::-1] + lo).tolist()
+        hi = lo
 
 
 def _hadamard_squared(a: np.ndarray) -> int:
@@ -182,17 +222,18 @@ def _determinant(a: np.ndarray) -> int:
     """Exact determinant of ``a``: a square integer array of order below
     ``_MAX_ORDER`` with every entry at most 2**52 in magnitude.
 
-    Residues modulo primes below 2**20, up to ``_STACK`` primes per float64
-    elimination (``_stacked_determinants``), are combined by Chinese
-    remaindering until their product M exceeds 2H, where H, the product of
-    the row 2-norms (Hadamard's bound), bounds |det|.  The residue in
-    (-M/2, M/2) is then the determinant itself.  The precondition keeps
-    every sum of the elimination an integer below 2**52 in magnitude, exact
-    in float64 (the bound is proved at ``_MAX_ORDER``).
+    Residues modulo the primes of ``_primes(m)``, m the order of ``a``, up
+    to ``_STACK`` primes per float64 elimination
+    (``_stacked_determinants``), are combined by Chinese remaindering until
+    their product M exceeds 2H, where H, the product of the row 2-norms
+    (Hadamard's bound), bounds |det|.  The residue in (-M/2, M/2) is then
+    the determinant itself.  Primes of that size keep every sum of the
+    elimination an integer below 2**52 in magnitude, exact in float64 (the
+    bound is proved above ``_MAX_ORDER``).
     """
     h2 = _hadamard_squared(a)
     primes, modulus = [], 1
-    candidates = _primes()
+    candidates = _primes(len(a))
     while modulus * modulus <= 4 * h2:
         p = next(candidates, None)
         if p is None:

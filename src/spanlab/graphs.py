@@ -118,11 +118,33 @@ def build_graph(edges, n: int) -> Graph:
     """Validate an edge list and build a Graph.
 
     Rejects self-loops, duplicate edges (in either orientation), and
-    endpoints outside ``0..n-1``.
+    endpoints outside ``0..n-1``.  Valid input is checked on the sorted
+    neighbour tuples alone: every fault leaves a negative or repeated
+    neighbour there, or fails to index the lists.  Only then are the edges
+    scanned one by one, so the error is the first faulty edge's.
     """
     if n < 0:
         raise VertexOutOfRangeError("vertex count must be non-negative")
+    if not isinstance(edges, list):
+        edges = list(edges)
     adj: list[list[int]] = [[] for _ in range(n)]
+    try:
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+    except (IndexError, TypeError, ValueError):
+        # Each edge before the one that failed added two entries.
+        _raise_first_fault(islice(edges, sum(map(len, adj)) // 2 + 1), n)
+        raise
+    neighbors = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+    if any(len(set(nbrs)) < len(nbrs) or nbrs and nbrs[0] < 0 for nbrs in neighbors):
+        _raise_first_fault(edges, n)
+    return Graph(n, neighbors)
+
+
+def _raise_first_fault(edges, n: int) -> None:
+    """Raise the error of the first edge that is out of range, a self-loop
+    or a repeat of an earlier edge."""
     seen: set[tuple[int, int]] = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -133,9 +155,6 @@ def build_graph(edges, n: int) -> Graph:
         if key in seen:
             raise DuplicateEdgeError(f"duplicate edge ({key[0]},{key[1]})")
         seen.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
-    return Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in adj))
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +432,7 @@ def read_graph_file(path) -> Graph:
             append((int(u), int(v)))
     except ValueError:
         raise GraphError(f"{path}: bad edge line {ln!r}") from None
+    del lines  # freed before the adjacency lists are built: a lower peak
     return build_graph(edges, n)
 
 

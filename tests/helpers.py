@@ -7,8 +7,9 @@ checked by trying vertex permutations, canonical codes are built by
 rooting the whole tree at each center in turn (the library builds them
 in one leaf-stripping pass), edge switches read the drawn numpy arrays
 one element per attempt (the library converts them block by block),
-bootstrap slopes are fitted one column at a time (the library fits every
-column in one call), streams are seeded through ``SeedSequence`` itself
+graphs are validated edge by edge against a set of the edges seen (the
+library checks sorted neighbour tuples), bootstrap slopes are fitted one
+column at a time (the library fits every column in one call), streams are seeded through ``SeedSequence`` itself
 (the library reproduces its hash in Python ints), subsets and degree
 histograms are built one element at a time (the library builds them in
 C-level calls), and random trees come from uniform parent-sequence
@@ -45,6 +46,7 @@ from spanlab import (
 )
 from spanlab import experiments
 from spanlab import rng as rnglib
+from spanlab.graphs import DuplicateEdgeError, SelfLoopError, VertexOutOfRangeError
 
 
 def reference_stream(master: int, *path: int) -> Generator:
@@ -411,6 +413,27 @@ def prufer_tree_edges(n: int, seq) -> list[tuple[int, int]]:
     v = heapq.heappop(leaf_heap)
     edges.append((u, v) if u < v else (v, u))
     return edges
+
+
+def reference_build_graph(edges, n: int) -> Graph:
+    """``build_graph`` checking each edge as it comes, against a set of the
+    edges seen (the library checks the sorted neighbour tuples)."""
+    if n < 0:
+        raise VertexOutOfRangeError("vertex count must be non-negative")
+    adj: list[list[int]] = [[] for _ in range(n)]
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexOutOfRangeError(f"edge ({u},{v}) outside 0..{n - 1}")
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise DuplicateEdgeError(f"duplicate edge ({key[0]},{key[1]})")
+        seen.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in adj))
 
 
 def random_connected_graph(n: int, rng, p: float = 0.5) -> Graph:

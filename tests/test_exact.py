@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -8,7 +9,15 @@ from hypothesis import strategies as st
 
 import spanlab as sl
 from spanlab import CapExceededError
-from spanlab.exact import _BLOCK, _MAX_ORDER, _STACK, _determinant, _hadamard_squared, _primes
+from spanlab.exact import (
+    _BLOCK,
+    _MAX_ORDER,
+    _STACK,
+    _determinant,
+    _hadamard_squared,
+    _primes,
+    _top,
+)
 
 from helpers import (
     bareiss_count,
@@ -83,23 +92,38 @@ def test_modular_determinant_matches_bareiss_on_random_matrices():
     assert det([[0]]) == 0
 
 
+def primes_needed(rows):
+    """How many primes of ``_primes`` the Hadamard bound of ``rows`` takes."""
+    h2 = math.prod(sum(x * x for x in row) for row in rows)
+    modulus = 1
+    for count, p in enumerate(_primes(len(rows)), 1):
+        modulus *= p
+        if modulus * modulus > 4 * h2:
+            return count
+
+
 def test_modular_determinant_zero_residues_and_row_swaps():
-    p = next(_primes())  # the first prime used
-    cases = [
-        [[p, 1], [1, 0]],  # leading entry 0 mod p: row swap at step 0
-        [[1, 1, 0], [1, 1 + p, 1], [0, 1, 1]],  # leading 2x2 minor 0 mod p: swap at step 1
-        [[p, 0], [0, 3]],  # det 3p: the first column is all 0 mod p
-        [[1, 0], [0, p]],  # det p: the last pivot is 0 mod p
-    ]
     rng = np.random.default_rng(29)
     m = rng.integers(-9, 10, size=(6, 6))
-    m[2] *= p  # nonsingular with p | det
-    cases.append(m.tolist())
-    for rows in cases:
-        expect = sl.bareiss_determinant(rows)
-        assert det(rows) == expect
-    assert sl.bareiss_determinant(cases[-1]) % p == 0
-    assert sl.bareiss_determinant(cases[-1]) != 0
+
+    def p_divides_det(p):
+        rows = m.copy()
+        rows[2] *= p  # nonsingular with p | det
+        return rows.tolist()
+
+    cases = [  # each built from the first prime used at its order
+        lambda p: [[p, 1], [1, 0]],  # leading entry 0 mod p: row swap at step 0
+        lambda p: [[1, 1, 0], [1, 1 + p, 1], [0, 1, 1]],  # leading 2x2 minor 0 mod p: swap at step 1
+        lambda p: [[p, 0], [0, 3]],  # det 3p: the first column is all 0 mod p
+        lambda p: [[1, 0], [0, p]],  # det p: the last pivot is 0 mod p
+        p_divides_det,
+    ]
+    for build, order in zip(cases, [2, 3, 2, 2, 6]):
+        p = next(_primes(order))
+        rows = build(p)
+        assert len(rows) == order
+        assert det(rows) == sl.bareiss_determinant(rows)
+    assert sl.bareiss_determinant(rows) % p == 0 != sl.bareiss_determinant(rows)  # the last case
 
 
 @st.composite
@@ -118,67 +142,133 @@ def integer_matrices(draw):
     return rows
 
 
+# Sylvester's Hadamard matrix of order 4 times 2**52, one entry less by 1:
+# |det| is about Hadamard's bound, 2**212, and takes one prime past a stack.
+WIDE = [[2**52 * x for x in row] for row in ([1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1])]
+WIDE[3][3] -= 1
+
+
+def test_wide_example_needs_one_prime_past_the_stack():
+    assert primes_needed(WIDE) == _STACK + 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(integer_matrices())
-@example([[2 ** (10 * _STACK + 2), 1], [1, 2 ** (10 * _STACK + 2)]])  # _STACK + 1 primes
+@example(WIDE)
 @example([[2**52, -(2**52)], [2**52, 2**52 - 1]])
 @example([[0] * 9] * 9)
 def test_modular_determinant_matches_bareiss_property(rows):
     assert det(rows) == sl.bareiss_determinant(rows)
 
 
-def _needs_full_stack(rows):
-    """The Hadamard bound needs every prime of the first stack."""
-    h2 = math.prod(sum(x * x for x in row) for row in rows)
-    return math.prod(islice(_primes(), _STACK - 1)) ** 2 <= 4 * h2
-
-
 def test_zero_pivots_in_some_slices_of_a_stack():
-    first, second, *_, last = islice(_primes(), _STACK)
-    both = second * last
     rng = np.random.default_rng(31)
     cases = {}  # name -> (matrix, order of the leading minor that is 0 mod both)
 
+    def both(order):
+        _, second, *_, last = islice(_primes(order), _STACK)
+        return second * last
+
+    # At order 6 the two primes multiply to about 2**51.4, so only unit
+    # multiples of their product keep the entries within 2**52.
     def big():
         return rng.integers(-(2**40), 2**40, size=(6, 6))
 
+    def unit(size):
+        return rng.choice([-1, 1], size=size)
+
     m = big()
-    m[0, 0] = both * 7
+    m[0, 0] = both(6)
     cases["swap at step 0"] = m, 1
     m = big()
-    m[1, :2] = m[0, :2] + both * rng.integers(1, 9, size=2)
+    m[1, :2] = m[0, :2] + both(6) * unit(2)
     cases["swap at step 1"] = m, 2
     m = big()
-    m[:, 0] = both * rng.integers(-9, 10, size=6)
+    m[:, 0] = both(6) * unit(6)
     cases["column 0 all zero"] = m, 6
     m = big()
-    m[:, 3] = m[:, 0] - 2 * m[:, 2] + both * rng.integers(-9, 10, size=6)
+    m[:, 3] = m[:, 0] - 2 * m[:, 2] + both(6) * unit(6)
     cases["column 3 all zero"] = m, 6
     n = 2 * _BLOCK + 5  # the zero pivot and the dead column fall in the third block
     k = n - 3
     coef = rng.integers(-3, 4, size=k)
     m = rng.integers(-(2**10), 2**10, size=(n, n))
-    m[k, :k + 1] = coef @ m[:k, :k + 1] + both * rng.integers(-9, 10, size=k + 1)
+    m[k, :k + 1] = coef @ m[:k, :k + 1] + both(n) * rng.integers(-9, 10, size=k + 1)
     cases["swap in a later block"] = m, k + 1
     m = rng.integers(-(2**10), 2**10, size=(n, n))
-    m[:, k] = m[:, :k] @ coef + both * rng.integers(-9, 10, size=n)
+    m[:, k] = m[:, :k] @ coef + both(n) * rng.integers(-9, 10, size=n)
     cases["column dead in a later block"] = m, n
     for name, (rows, order) in cases.items():
         rows = np.asarray(rows).tolist()
+        first, second, *_, last = islice(_primes(len(rows)), _STACK)
         minor = sl.bareiss_determinant([row[:order] for row in rows[:order]])
         assert minor % second == minor % last == 0 != minor % first, name
-        assert _needs_full_stack(rows), name
+        assert primes_needed(rows) >= _STACK, name  # every slice of the first stack runs
         assert det(rows) == sl.bareiss_determinant(rows), name
 
 
-def test_primes_are_the_primes_below_2_20_largest_first():
-    sieve = np.ones(2**20, dtype=bool)
-    sieve[:2] = False
-    for d in range(2, 2**10):
-        if sieve[d]:
-            sieve[d * d::d] = False
-    expect = np.flatnonzero(sieve[2**19:])[::-1][:1000] + 2**19
-    assert list(islice(_primes(), 1000)) == expect.tolist()
+# (order, entry bits, singular): orders above 2 * _BLOCK accumulate the
+# unbalanced sums of several blocks before a column is balanced.
+WIDE_RANDOM = [
+    (30, 52, False), (30, 52, True), (41, 52, False), (55, 52, False),
+    (66, 40, True), (70, 20, False), (80, 10, False), (80, 3, True),
+]
+
+
+def wide_random(order, bits, singular):
+    rng = np.random.default_rng([order, bits, singular])
+    m = rng.integers(-(2**bits), 2**bits, size=(order, order), endpoint=True)
+    if singular:
+        m[:2] //= 2
+        m[-1] = m[0] - m[1]  # |entries| stay within 2**bits
+    return m.tolist()
+
+
+@pytest.mark.parametrize("order,bits,singular", WIDE_RANDOM)
+def test_modular_determinant_matches_bareiss_at_orders_30_to_80(order, bits, singular):
+    rows = wide_random(order, bits, singular)
+    expect = sl.bareiss_determinant(rows)
+    assert (expect == 0) == singular
+    assert det(rows) == expect
+
+
+def test_wide_random_prime_counts_are_not_all_whole_stacks():
+    counts = [primes_needed(wide_random(*case)) for case in WIDE_RANDOM]
+    assert min(counts) > _STACK and any(c % _STACK for c in counts)
+
+
+def reference_primes(lo, hi):
+    """The primes in [lo, hi), largest first, for 2**19 < lo: the odd numbers
+    of the window less the multiples of every odd d up to sqrt(hi)."""
+    start = lo | 1
+    odd = np.ones((hi - start + 1) // 2, dtype=bool)  # start, start + 2, ...
+    for d in range(3, math.isqrt(hi) + 1, 2):
+        first = -(-start // d) * d
+        first += d * (first % 2 == 0)  # the first odd multiple
+        odd[(first - start) // 2::d] = False
+    return (start + 2 * np.flatnonzero(odd)[::-1]).tolist()
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 6, 69, 149, 399, 8191])
+def test_primes_are_the_primes_from_top_down_to_2_19(order):
+    # The top 2**22 integers up to _top(order), at order 8191 all down to
+    # 2**19.  _top(4) is itself prime.
+    hi = _top(order) + 1
+    lo = max(hi - 2**22, 2**19 + 1)
+    expect = reference_primes(lo, hi)
+    got = _primes(order)
+    assert list(islice(got, len(expect))) == expect
+    assert (next(got, None) is None) == (lo == 2**19 + 1)
+
+
+def test_top_is_the_largest_prime_bound_for_each_order():
+    def fits(m, p):
+        return m * (Fraction(p, 2) + 2) ** 2 + p < 2**52
+
+    for m in range(1, _MAX_ORDER):
+        top = _top(m)
+        assert fits(m, top) and top >= 2**20
+        assert top + 1 == 2**26 or not fits(m, top + 1)
 
 
 def test_hadamard_bound_is_exact_when_int64_would_overflow():

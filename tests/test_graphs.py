@@ -2,6 +2,8 @@ import hashlib
 import pickle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spanlab as sl
 from spanlab import rng as rnglib
@@ -18,7 +20,7 @@ from spanlab.graphs import (
 )
 from spanlab.reconfig import high_degree, low_neighbors
 
-from helpers import reference_double_edge_switches
+from helpers import reference_build_graph, reference_double_edge_switches
 
 
 def test_triangle_build():
@@ -56,6 +58,58 @@ def test_vertex_out_of_range_rejected():
         sl.build_graph([(0, 3)], 3)
     with pytest.raises(VertexOutOfRangeError):
         sl.build_graph([(-1, 0)], 3)
+
+
+@st.composite
+def edge_lists_with_faults(draw):
+    """(edges, n): distinct edges of a graph on n <= 8 vertices in either
+    orientation, with up to four faults inserted anywhere: repeats in both
+    orientations, self-loops, endpoints at or above n, negative endpoints
+    that do or do not index a list."""
+    n = draw(st.integers(0, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [
+        (u, v) if flip else (v, u)
+        for (u, v), flip in zip(
+            draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [],
+            draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs))),
+        )
+    ]
+    vertex = st.integers(0, max(n - 1, 0))
+    for kind in draw(st.lists(st.sampled_from(["dup", "loop", "high", "neg", "alias"]), max_size=4)):
+        if kind == "dup":
+            if not edges:
+                continue
+            u, v = draw(st.sampled_from(edges))
+            fault = (u, v) if draw(st.booleans()) else (v, u)
+        elif kind == "loop":
+            fault = (draw(vertex),) * 2
+        else:
+            bad = {
+                "high": st.integers(n, n + 2),
+                "neg": st.integers(-n - 3, -n - 1),
+                "alias": st.integers(-n, -1) if n else st.just(-1),
+            }[kind]
+            fault = (draw(bad), draw(vertex)) if draw(st.booleans()) else (draw(vertex), draw(bad))
+        edges.insert(draw(st.integers(0, len(edges))), fault)
+    return edges, n
+
+
+def outcome(build, edges, n):
+    try:
+        return build(edges, n).neighbors
+    except (GraphError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_lists_with_faults(), st.booleans())
+@example(([(0, 1), (0, 1.5), (5, 0)], 3), False)  # a TypeError comes before a later fault
+@example(([(0, 1, 2), (1, 1)], 3), True)  # so does a bad edge tuple
+def test_build_graph_matches_the_edge_by_edge_reference(case, lazy):
+    edges, n = case
+    got = outcome(sl.build_graph, iter(edges) if lazy else edges, n)
+    assert got == outcome(reference_build_graph, edges, n)
 
 
 def test_complete_graph_degrees():
