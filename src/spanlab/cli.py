@@ -107,7 +107,43 @@ def size_list(text: str) -> tuple[int, ...]:
     return tuple(positive_int(part) for part in text.split(","))
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("count-exact", "enumerate", "sample", "reconfigure", "count-noniso", "experiment")
+KINDS = ("lemma35", "pipeline", "conjecture", "leaves", "uniformity")
+
+
+def _named(argv) -> tuple[str, str | None] | None:
+    """The command, and experiment kind, that ``argv`` opens with, or None
+    when it names no command or no kind of experiment."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    if argv[0] != "experiment":
+        return argv[0], None
+    if len(argv) > 1 and argv[1] in KINDS:
+        return "experiment", argv[1]
+    return None
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every command, or, given ``argv``, a parser with only
+    the command and experiment kind that ``argv`` names.
+
+    Each command's parser takes milliseconds to build, so a run builds
+    only its own.  Its usage lines still list every command and kind, so
+    help and error texts read the same as the full parser's.  An ``argv``
+    that names none (no arguments, ``-h``, ``--version``, an unknown
+    command or kind) gets the full parser.
+    """
+    only = _named(argv)
+
+    def wanted(name, kind=None):
+        return only is None or only[0] == name and kind in (None, only[1])
+
+    # A partial parser spells out every name in its usage line.  The full
+    # one must not: a metavar would also stand for ``command`` and ``kind``
+    # in its errors.
+    def metavar(names):
+        return None if only is None else "{" + ",".join(names) + "}"
+
     parser = argparse.ArgumentParser(
         prog="spanlab",
         allow_abbrev=False,
@@ -115,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and degree-sequence anticoncentration experiments.",
     )
     parser.add_argument("--version", action="version", version=f"spanlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar(COMMANDS))
 
     def command(parent, name, help=None, graph=True, trials=None):
         # --graph/--gen unless ``graph`` is false, --trials if ``trials`` types it.
@@ -135,42 +171,54 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=job_count, default=1, help="worker processes for trial loops")
         return p
 
-    command(sub, "count-exact", "exact spanning-tree count and degree-product bound")
+    if wanted("count-exact"):
+        command(sub, "count-exact", "exact spanning-tree count and degree-product bound")
 
-    p = command(sub, "enumerate", "list every spanning tree (cap-guarded)")
-    p.add_argument("--cap", type=positive_int, default=10**5)
+    if wanted("enumerate"):
+        p = command(sub, "enumerate", "list every spanning tree (cap-guarded)")
+        p.add_argument("--cap", type=positive_int, default=10**5)
 
-    p = command(sub, "sample", "sample uniform spanning trees", trials=positive_int)
-    p.add_argument("--sampler", choices=sorted(SAMPLERS), default="wilson")
+    if wanted("sample"):
+        p = command(sub, "sample", "sample uniform spanning trees", trials=positive_int)
+        p.add_argument("--sampler", choices=sorted(SAMPLERS), default="wilson")
 
-    p = command(sub, "reconfigure", "run and audit leaf reconfigurations", trials=positive_int)
-    p.add_argument(
-        "--dump-selections",
-        action="store_true",
-        help="include every selected leaf and its candidate parents",
-    )
+    if wanted("reconfigure"):
+        p = command(sub, "reconfigure", "run and audit leaf reconfigurations", trials=positive_int)
+        p.add_argument(
+            "--dump-selections",
+            action="store_true",
+            help="include every selected leaf and its candidate parents",
+        )
 
-    p = command(sub, "count-noniso", "count non-isomorphic spanning trees")
-    p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    p.add_argument("--budget", type=positive_int, default=10**4)
+    if wanted("count-noniso"):
+        p = command(sub, "count-noniso", "count non-isomorphic spanning trees")
+        p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
+        p.add_argument("--budget", type=positive_int, default=10**4)
 
+    if not wanted("experiment"):
+        return parser
     experiment = sub.add_parser("experiment", help="Monte Carlo experiment suites", allow_abbrev=False)
-    kinds = experiment.add_subparsers(dest="kind", required=True)
-    command(kinds, "lemma35", trials=at_least_two)
-    p = command(kinds, "pipeline", trials=at_least_two)
-    p.add_argument("--per-trial", action="store_true", help="include per-trial digests in the report")
-    p = command(kinds, "conjecture", graph=False, trials=at_least_two)
-    p.add_argument("--d", type=positive_int, default=3, help="small-side size for conjecture runs")
-    p.add_argument(
-        "--sizes",
-        type=size_list,
-        default="50,100,200,400",
-        help="comma-separated graph orders for conjecture runs",
-    )
-    p = command(kinds, "leaves", trials=at_least_two)
-    p.add_argument("--sampler", choices=sorted(SAMPLERS), default="wilson")
-    p = command(kinds, "uniformity", trials=at_least_two)
-    p.add_argument("--cap", type=positive_int, default=75, help="uniformity support cap")
+    kinds = experiment.add_subparsers(dest="kind", required=True, metavar=metavar(KINDS))
+    if wanted("experiment", "lemma35"):
+        command(kinds, "lemma35", trials=at_least_two)
+    if wanted("experiment", "pipeline"):
+        p = command(kinds, "pipeline", trials=at_least_two)
+        p.add_argument("--per-trial", action="store_true", help="include per-trial digests in the report")
+    if wanted("experiment", "conjecture"):
+        p = command(kinds, "conjecture", graph=False, trials=at_least_two)
+        p.add_argument("--d", type=positive_int, default=3, help="small-side size for conjecture runs")
+        p.add_argument(
+            "--sizes",
+            type=size_list,
+            default="50,100,200,400",
+            help="comma-separated graph orders for conjecture runs",
+        )
+    if wanted("experiment", "leaves"):
+        p = command(kinds, "leaves", trials=at_least_two)
+        p.add_argument("--sampler", choices=sorted(SAMPLERS), default="wilson")
+    if wanted("experiment", "uniformity"):
+        p = command(kinds, "uniformity", trials=at_least_two)
+        p.add_argument("--cap", type=positive_int, default=75, help="uniformity support cap")
     return parser
 
 
@@ -512,7 +560,9 @@ def _emit(args, payload, rows, seed, started) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     seed = rnglib.resolve_seed(args.seed)
     started = datetime.now(timezone.utc).isoformat()

@@ -406,34 +406,76 @@ def generate(spec: GraphSpec, seed: int) -> Graph:
 
 
 def read_graph_file(path) -> Graph:
+    """Read a graph file in one pass over its lines, keeping none of them.
+
+    Faults are raised in this order, whatever their order in the file: a
+    file that cannot be read or is not ASCII, no header, a malformed
+    header, a wrong number of edge lines, more than 2m + 1 vertices (two
+    or more isolated), the first bad edge line, then ``build_graph``'s.
+    So the whole file is read even after a fault is known.
+
+    Each distinct endpoint token is converted by ``int()`` once, and every
+    later copy of it maps to that same int: a file graph's neighbour
+    tuples hold one int object per vertex, not one per edge endpoint.
+    """
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = [ln for raw in fh if (ln := raw.strip()) and ln[0] != "#"]
+            lines = (ln for raw in fh if (ln := raw.strip()) and ln[0] != "#")
+            header = next(lines, None)
+            n = m = None
+            if header is not None:
+                try:
+                    n, m = map(int, header.split())
+                except ValueError:
+                    pass
+            if n is None or n > 2 * m + 1:
+                # Refused once the edge lines are counted: no edge is kept.
+                edges, bad, count = None, None, sum(1 for _ in lines)
+            else:
+                edges, bad, count = _read_edges(lines)
     except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read graph file {path}: {exc}") from exc
-    if not lines:
+    if header is None:
         raise GraphError(f"{path}: empty graph file")
-    try:
-        n, m = map(int, lines[0].split())
-    except ValueError:
-        raise GraphError(f"{path}: header must be 'n m'") from None
-    if len(lines) - 1 != m:
-        raise GraphError(f"{path}: expected {m} edge lines, found {len(lines) - 1}")
+    if n is None:
+        raise GraphError(f"{path}: header must be 'n m'")
+    if count != m:
+        raise GraphError(f"{path}: expected {m} edge lines, found {count}")
     if n > 2 * m + 1:
-        # Refused before any per-vertex allocation: a header alone is cheap.
         raise DisconnectedGraphError(
             f"{path}: {n} vertices but only {m} edges, so at least two are isolated"
         )
-    edges = []
-    append = edges.append
-    try:
-        for ln in islice(lines, 1, None):
-            u, v = ln.split()
-            append((int(u), int(v)))
-    except ValueError:
-        raise GraphError(f"{path}: bad edge line {ln!r}") from None
-    del lines  # freed before the adjacency lists are built: a lower peak
+    if bad is not None:
+        raise GraphError(f"{path}: bad edge line {bad!r}")
     return build_graph(edges, n)
+
+
+def _read_edges(lines) -> tuple[list[tuple[int, int]], str | None, int]:
+    """The edges of the lines up to the first bad one, that line (or None),
+    and the number of lines."""
+    edges: list[tuple[int, int]] = []
+    append = edges.append
+    ints: dict[str, int] = {}  # token -> its one int
+    get = ints.get
+    bad = None
+    count = 0
+    for ln in lines:
+        count += 1
+        if bad is not None:
+            continue
+        try:
+            u, v = ln.split()
+            a = get(u)
+            if a is None:
+                a = ints[u] = int(u)
+            b = get(v)
+            if b is None:
+                b = ints[v] = int(v)
+        except ValueError:
+            bad = ln
+        else:
+            append((a, b))
+    return edges, bad, count
 
 
 def write_graph_file(g: Graph, path) -> None:

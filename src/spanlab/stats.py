@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -58,10 +60,39 @@ def bootstrap_collisions(counts, trials: int, rng) -> np.ndarray:
 
 
 def percentile_interval(values: np.ndarray, level: float) -> tuple[float, float]:
+    """The central ``level`` interval of ``values`` (1-D, finite, float64):
+    bit for bit what ``np.percentile(values, [lo, hi])`` returns.
+
+    ``np.percentile`` is not called because it reaches ``np.unique``,
+    which imports numpy.ma (about 1 MB and 10 ms) into every command that
+    reports an interval.  Its default ``linear`` rule (Hyndman and Fan's
+    method 7) is reproduced step for step: the virtual index is
+    (n - 1) * q, the order statistics around it are placed by the same
+    ``partition`` call, and they are interpolated as numpy's ``_lerp``
+    does, from the lower one below a weight of 0.5 and from the upper one
+    from 0.5 on.
+    """
     lo = (1.0 - level) / 2 * 100
     hi = 100 - lo
-    a, b = np.percentile(values, [lo, hi])
-    return float(a), float(b)
+    arr = np.array(values, dtype=np.float64)
+    last = arr.size - 1
+    picks = []  # (virtual index, index below it, index above it)
+    for q in (lo / 100, hi / 100):
+        at = last * q
+        # At or past the last index numpy reads the last value twice, as -1.
+        i = math.floor(at) if at < last else -1
+        picks.append((at, i, i + 1 if i >= 0 else -1))
+    # numpy's kth list: the order of equal values, so the sign of a zero
+    # that is read, comes out as in np.percentile.
+    arr.partition(sorted({0, -1, *(k for _, i, j in picks for k in (i, j))}))
+    lower, upper = (_lerp(float(arr[i]), float(arr[j]), at - i) for at, i, j in picks)
+    return lower, upper
+
+
+def _lerp(a: float, b: float, gamma: float) -> float:
+    """numpy's ``_lerp``: from ``a`` below a weight of 0.5, from ``b`` on."""
+    diff = b - a
+    return a + diff * gamma if gamma < 0.5 else b - diff * (1 - gamma)
 
 
 def fit_loglog_slope(xs, ys) -> tuple[float, float] | tuple[None, None]:

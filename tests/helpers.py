@@ -8,7 +8,9 @@ rooting the whole tree at each center in turn (the library builds them
 in one leaf-stripping pass), edge switches read the drawn numpy arrays
 one element per attempt (the library converts them block by block),
 graphs are validated edge by edge against a set of the edges seen (the
-library checks sorted neighbour tuples), bootstrap slopes are fitted one
+library checks sorted neighbour tuples), graph files are read into a list
+of lines with every endpoint through ``int()`` (the library reads in one
+pass and gives each vertex one int), bootstrap slopes are fitted one
 column at a time (the library fits every column in one call), streams are seeded through ``SeedSequence`` itself
 (the library reproduces its hash in Python ints), subsets and degree
 histograms are built one element at a time (the library builds them in
@@ -26,9 +28,10 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import numpy as np
+from hypothesis import strategies as st
 from numpy.random import PCG64, Generator, SeedSequence
 
 from spanlab import (
@@ -46,7 +49,13 @@ from spanlab import (
 )
 from spanlab import experiments
 from spanlab import rng as rnglib
-from spanlab.graphs import DuplicateEdgeError, SelfLoopError, VertexOutOfRangeError
+from spanlab.graphs import (
+    DisconnectedGraphError,
+    DuplicateEdgeError,
+    GraphError,
+    SelfLoopError,
+    VertexOutOfRangeError,
+)
 
 
 def reference_stream(master: int, *path: int) -> Generator:
@@ -434,6 +443,56 @@ def reference_build_graph(edges, n: int) -> Graph:
         adj[u].append(v)
         adj[v].append(u)
     return Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in adj))
+
+
+def reference_read_graph_file(path) -> Graph:
+    """``read_graph_file`` over a list of every line, each endpoint through
+    ``int()`` (the library keeps no lines and one int per vertex)."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln for raw in fh if (ln := raw.strip()) and ln[0] != "#"]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphError(f"cannot read graph file {path}: {exc}") from exc
+    if not lines:
+        raise GraphError(f"{path}: empty graph file")
+    try:
+        n, m = map(int, lines[0].split())
+    except ValueError:
+        raise GraphError(f"{path}: header must be 'n m'") from None
+    if len(lines) - 1 != m:
+        raise GraphError(f"{path}: expected {m} edge lines, found {len(lines) - 1}")
+    if n > 2 * m + 1:
+        raise DisconnectedGraphError(
+            f"{path}: {n} vertices but only {m} edges, so at least two are isolated"
+        )
+    edges = []
+    try:
+        for ln in islice(lines, 1, None):
+            u, v = ln.split()
+            edges.append((int(u), int(v)))
+    except ValueError:
+        raise GraphError(f"{path}: bad edge line {ln!r}") from None
+    return build_graph(edges, n)
+
+
+_TOKENS = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.sampled_from(["#", "x", "1.5", "+1", "1_0", "\t", "\xff"]),
+)
+_LINES = st.lists(_TOKENS, max_size=4).map(" ".join)
+
+
+@st.composite
+def graph_file_bytes(draw):
+    """Mostly well-formed graph files on up to 9 vertices, with junk lines,
+    comments, bad headers, stray vertices and non-ASCII bytes mixed in."""
+    n = draw(st.integers(-1, 9))
+    vertex = st.integers(-1, max(n, 0))
+    body = draw(st.lists(st.tuples(vertex, vertex).map("{0[0]} {0[1]}".format), max_size=12))
+    header = f"{n} {len(body)}" if draw(st.integers(0, 4)) != 3 else draw(_LINES)
+    for junk in draw(st.lists(_LINES, max_size=2)):
+        body.insert(draw(st.integers(0, len(body))), junk)
+    return ("\n".join([header, *body]) + "\n").encode("latin-1")
 
 
 def random_connected_graph(n: int, rng, p: float = 0.5) -> Graph:

@@ -16,7 +16,7 @@ import spanlab as sl
 from spanlab import cli
 from spanlab.cli import main
 
-from helpers import random_connected_graph
+from helpers import graph_file_bytes, random_connected_graph
 
 
 def run_json(capsys, *argv):
@@ -403,6 +403,60 @@ def test_each_command_parses_only_the_flags_it_reads(capsys):
     assert refused == 25
 
 
+def _outcome(argv):
+    """Exit code, stdout and stderr of ``main(argv)``, timestamps cut."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    text = out.getvalue()
+    return code, text[: text.find('"timestamps"')], err.getvalue()
+
+
+@pytest.mark.parametrize("name", OPTIONS)
+def test_a_run_builds_only_its_own_parser(monkeypatch, name):
+    words = name.split()
+    command = cli.build_parser(words)
+    assert set(_subparsers(command)) == {words[0]}
+    if len(words) == 2:
+        assert set(_subparsers(_subparsers(command)["experiment"])) == {words[1]}
+    graph = ["--sizes", "30,60"] if "--sizes" in OPTIONS[name] else ["--gen", "complete:4"]
+    cases = [
+        [*words, "--help"],
+        [*words, "--bogus"],  # the top parser's usage error
+        [*words, "--seed", "-1"],  # the command's own usage error
+        [*words, *graph, "--trials", "2", "--seed", "7"] if "--trials" in OPTIONS[name]
+        else [*words, *graph, "--seed", "7"],
+    ]
+    partial = [_outcome(argv) for argv in cases]
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
+    assert partial == [_outcome(argv) for argv in cases]
+    assert all(code == 2 for code, _, _ in partial[1:3])
+    assert '"config"' in partial[3][1]
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["-h"], ["--version"], ["bogus"], ["experiment"], ["experiment", "-h"],
+             ["experiment", "bogus"], ["--", "sample"]]
+)
+def test_argv_that_names_no_command_gets_the_full_parser(argv):
+    commands = _subparsers(cli.build_parser(argv))
+    assert len(commands) == 6 and len(_subparsers(commands["experiment"])) == 5
+
+
+def test_unknown_names_are_errors_of_command_and_kind(capsys):
+    # Only a partial parser spells its subcommands out as a metavar, which
+    # argparse would also print here in place of the dest.
+    for argv, dest in ((["bogus"], "command"), (["experiment", "bogus"], "kind")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: argument {dest}: invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv,unread",
     [
@@ -524,6 +578,31 @@ def test_cli_import_does_not_load_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "pipeline", "--gen", "complete:6", "--trials", "20", "--seed", "1"],
+        ["experiment", "conjecture", "--sizes", "10,20", "--trials", "20", "--seed", "1"],
+        ["experiment", "lemma35", "--gen", "complete:8", "--trials", "20", "--seed", "3"],
+    ],
+    ids=["pipeline", "conjecture", "lemma35"],
+)
+def test_experiments_do_not_load_numpy_ma(argv):
+    # np.percentile loads numpy.ma (about 1 MB) through np.unique; the
+    # bootstrap intervals are computed without it.
+    src = os.path.dirname(os.path.dirname(sl.__file__))
+    code = (
+        "import contextlib, io, sys\n"
+        "from spanlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "sys.exit(int('numpy.ma' in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_missing_file_is_domain_error(capsys):
     code = main(["count-exact", "--graph", "/nonexistent/g.txt"])
     assert code == 1
@@ -621,26 +700,6 @@ def _codes(classes):
 
 
 TYPED_CODES = set(_codes(cli.DOMAIN_ERRORS)) - {None}
-
-_TOKENS = st.one_of(
-    st.integers(-2, 9).map(str),
-    st.sampled_from(["#", "x", "1.5", "+1", "1_0", "\t", "\xff"]),
-)
-_LINES = st.lists(_TOKENS, max_size=4).map(" ".join)
-
-
-@st.composite
-def graph_file_bytes(draw):
-    """Mostly well-formed graph files on up to 9 vertices, with junk lines,
-    comments, bad headers, stray vertices and non-ASCII bytes mixed in."""
-    n = draw(st.integers(-1, 9))
-    vertex = st.integers(-1, max(n, 0))
-    body = draw(st.lists(st.tuples(vertex, vertex).map("{0[0]} {0[1]}".format), max_size=12))
-    header = f"{n} {len(body)}" if draw(st.integers(0, 4)) != 3 else draw(_LINES)
-    for junk in draw(st.lists(_LINES, max_size=2)):
-        body.insert(draw(st.integers(0, len(body))), junk)
-    return ("\n".join([header, *body]) + "\n").encode("latin-1")
-
 
 @settings(max_examples=300, deadline=None)
 @given(graph_file_bytes())

@@ -1,5 +1,7 @@
 import hashlib
+import os
 import pickle
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +22,12 @@ from spanlab.graphs import (
 )
 from spanlab.reconfig import high_degree, low_neighbors
 
-from helpers import reference_build_graph, reference_double_edge_switches
+from helpers import (
+    graph_file_bytes,
+    reference_build_graph,
+    reference_double_edge_switches,
+    reference_read_graph_file,
+)
 
 
 def test_triangle_build():
@@ -391,6 +398,27 @@ GRAPH_FILE_ERRORS = {
         "cannot read graph file {path}: 'ascii' codec can't decode byte 0xff "
         "in position 6: ordinal not in range(128)",
     ),
+    # Faults come in a fixed order, not in the order of the file.  A file
+    # is decoded 8 KB at a time, so the padded byte 0xff is met only after
+    # the fault before it.
+    "bad-line-and-count": (b"3 2\n0 x\n", GraphError, "{path}: expected 2 edge lines, found 1"),
+    "bad-line-then-non-ascii": (
+        b"3 2\n0 x\n" + b"#\n" * 5000 + b"1 \xff\n",
+        GraphError,
+        "cannot read graph file {path}: 'ascii' codec can't decode byte 0xff "
+        "in position 1818: ordinal not in range(128)",
+    ),
+    "bad-header-then-non-ascii": (
+        b"oops\n" + b"#\n" * 5000 + b"\xff\n",
+        GraphError,
+        "cannot read graph file {path}: 'ascii' codec can't decode byte 0xff "
+        "in position 1813: ordinal not in range(128)",
+    ),
+    "huge-header-and-bad-line": (
+        b"2000000 1\n0 x\n",
+        DisconnectedGraphError,
+        "{path}: 2000000 vertices but only 1 edges, so at least two are isolated",
+    ),
 }
 
 
@@ -413,3 +441,38 @@ def test_graph_file_vertex_bound_is_inclusive(tmp_path):
     path.write_bytes(b"3 1\n0 1\n")
     g = sl.read_graph_file(path)
     assert g.n == 3 and g.edges() == [(0, 1)]
+
+
+def read_outcome(data: bytes):
+    """Neighbour tuples or (error class, message) of each reader on ``data``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        outcomes = []
+        for read in (sl.read_graph_file, reference_read_graph_file):
+            try:
+                outcomes.append(read(path).neighbors)
+            except GraphError as exc:
+                outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_file_bytes())
+@example(b"4 3\n007 1\n+1 2\n1_0 3\n")  # endpoints only int() reads
+@example(b"4 3\n0 1\n1 02\n2 3\n")  # a vertex spelled two ways
+@example(b"3 2\n0 x\n" + b"# pad\n" * 3000 + b"1 \xff\n")  # decoded in a later block
+def test_read_graph_file_matches_the_line_list_reference(data):
+    got, want = read_outcome(data)
+    assert got == want
+
+
+def test_file_graph_holds_one_int_per_vertex(tmp_path):
+    # Past 256, where CPython stops sharing small ints, the reader does it.
+    g = sl.generate(sl.GraphSpec.parse("regular:4,300"), seed=1)
+    path = tmp_path / "g.txt"
+    sl.write_graph_file(g, path)
+    read = sl.read_graph_file(path)
+    assert read.neighbors == g.neighbors
+    assert len({id(v) for nbrs in read.neighbors for v in nbrs}) == read.n == 300

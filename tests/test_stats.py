@@ -35,6 +35,29 @@ def test_bootstrap_collisions_centered():
     assert lo < point < hi
 
 
+def test_percentile_interval_is_np_percentile_bit_for_bit():
+    rng = np.random.default_rng(25)
+    for t in range(10_000):
+        n = int(rng.integers(1, 3001))
+        scale = 10.0 ** rng.uniform(-5, 5)
+        kind = t % 5
+        if kind == 0:
+            values = rng.random(n) * scale
+        elif kind == 1:  # many ties
+            values = rng.integers(0, n // 10 + 1, n) * scale
+        elif kind == 2:
+            values = np.full(n, rng.normal() * scale)
+        elif kind == 3:  # zeros of both signs, whose order partition decides
+            values = rng.choice([-1.0, -0.0, 0.0, 1.0], n) * scale
+        else:
+            values = rng.normal(size=n) * scale
+        for level in (0.5, 0.8, 0.95, 0.99):
+            lo = (1.0 - level) / 2 * 100
+            want = np.percentile(values, [lo, 100 - lo])
+            got = np.array(st.percentile_interval(values, level))
+            assert got.tobytes() == want.tobytes(), (t, n, level, got, want)
+
+
 def test_fit_loglog_slope_exact_power_law():
     xs = [10, 20, 40, 80]
     ys = [5.0 * x**-1.5 for x in xs]
