@@ -215,10 +215,11 @@ class CollisionReport:
     bootstrap: np.ndarray | None = field(default=None, repr=False)
 
 
-def _collision_report(counts: dict, trials: int, boots: np.ndarray) -> CollisionReport:
-    """The report on one tally, given its bootstrap (``_bootstrap``)."""
+def _collision_report(counts: dict, trials: int, rng) -> CollisionReport:
+    """The report on one tally, its bootstrap drawn from ``rng``."""
     values = list(counts.values())
     rate = collision_rate(values, trials)
+    boots = bootstrap_collisions(values, trials, rng)
     ci95 = percentile_interval(boots, 0.95)
     ci99 = percentile_interval(boots, 0.99)
     return CollisionReport(
@@ -245,10 +246,7 @@ def estimate_max_point_mass(
         sample_degree_vector(inst, rnglib.stream(master, rnglib.MODEL, t))
         for t in range(trials)
     )
-    boots = bootstrap_collisions(
-        list(counts.values()), trials, rnglib.stream(master, rnglib.BOOTSTRAP)
-    )
-    return _collision_report(counts, trials, boots), master
+    return _collision_report(counts, trials, rnglib.stream(master, rnglib.BOOTSTRAP)), master
 
 
 # ---------------------------------------------------------------------------
@@ -344,59 +342,48 @@ def _tally_head(parts, keep_rows: bool):
                 shape = hist
             rows[i] = (hist, shape, branch)  # drops the held tree
         codes[shape] += 1
-    return (hists, codes, branches), rows if keep_rows else None
+    return hists, codes, branches, rows if keep_rows else None
 
 
-def _bootstrap(values: list, trials: int, seed: int, which: int) -> np.ndarray:
-    """Bootstrap of one tally's class counts: ``which`` is 0 for
-    histograms and 1 for codes."""
-    return bootstrap_collisions(values, trials, rnglib.stream(seed, rnglib.BOOTSTRAP, which))
-
-
-def _run_chunked(worker, heads: list, trials: int, jobs: int, keep_rows: bool = False):
-    """Pipeline trials ``0:trials`` of every head ``(g, seed)`` and the
-    bootstraps of their tallies, on one pool of ``jobs`` processes (or in
-    this process at ``jobs=1``).
+def _run_chunked(worker, heads: list, trials: int, jobs: int, keep_rows: bool = False) -> list:
+    """Pipeline trials ``0:trials`` of every head ``(g, seed)`` on one pool
+    of ``jobs`` processes (or in this process at ``jobs=1``), and each
+    head's collision reports.
 
     ``worker((g, seed, lo, hi))`` returns the rows of trials ``lo:hi``, each
     ``(histogram, code or held tree, branch)`` (``_pipeline_chunk``).  Tasks
     go through the pool's ordered ``map``, which submits the chunks of every
     head up front, in the order of ``heads``; at ``jobs=1`` the builtin
-    ``map`` runs each task when its result is read, in the same order.
-    Once a head's chunks are in, its rows are tallied (``_tally_head``,
-    which codes a held tree only if its histogram repeats in the head or
-    ``keep_rows`` asks for every code) and dropped, and its two bootstraps
-    go to the same pool with only the class counts, queued behind the
-    chunks already submitted: no worker waits for this process between
-    heads.  Returns one ``(counters, boots, rows)`` per head: the
-    histogram, code and branch ``Counter``, the histogram and code
-    bootstraps, and the coded rows in trial order when ``keep_rows`` (else
-    None).
+    ``map`` runs each task when its result is read, in the same order.  The
+    pool runs these chunks only.  Once a head's chunks are in, its rows are
+    tallied (``_tally_head``, which codes a held tree only if its histogram
+    repeats in the head or ``keep_rows`` asks for every code) and dropped,
+    and its histogram and code reports are built in this process, with
+    bootstraps from streams ``(seed, BOOTSTRAP, 0)`` and ``(seed,
+    BOOTSTRAP, 1)``, while the pool runs the later heads.  Returns a list,
+    complete when it returns, of one ``(hist_report, code_report, branches,
+    rows)`` per head: ``branches`` is the branch ``Counter`` and ``rows``
+    the coded rows in trial order when ``keep_rows`` (else None).
     """
     chunk = max(1, -(-trials // (jobs * 8)))
     bounds = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
         parts = [run(worker, [(*head, lo, hi) for lo, hi in bounds]) for head in heads]
-        pending = []
+        done = []
         for (_, seed), chunks in zip(heads, parts):
-            counters, rows = _tally_head(chunks, keep_rows)
-            values = [list(counter.values()) for counter in counters[:2]]
-            boots = run(_bootstrap, values, (trials,) * 2, (seed,) * 2, (0, 1))
-            pending.append((counters, boots, rows))
-        return [(counters, list(boots), rows) for counters, boots, rows in pending]
-
-
-def _pipeline_reports(counters, boots, trials: int) -> tuple[CollisionReport, CollisionReport]:
-    """Histogram and code reports of one head of ``_run_chunked``."""
-    hist_report = _collision_report(counters[0], trials, boots[0])
-    code_report = _collision_report(counters[1], trials, boots[1])
-    if code_report.colliding_pairs > hist_report.colliding_pairs:
-        raise AssertionError(
-            "canonical-code collisions exceeded histogram collisions; "
-            "codes no longer refine histograms"
-        )
-    return hist_report, code_report
+            hists, codes, branches, rows = _tally_head(chunks, keep_rows)
+            hist_report, code_report = (
+                _collision_report(tally, trials, rnglib.stream(seed, rnglib.BOOTSTRAP, which))
+                for which, tally in enumerate((hists, codes))
+            )
+            if code_report.colliding_pairs > hist_report.colliding_pairs:
+                raise AssertionError(
+                    "canonical-code collisions exceeded histogram collisions; "
+                    "codes no longer refine histograms"
+                )
+            done.append((hist_report, code_report, branches, rows))
+        return done
 
 
 @dataclass
@@ -422,14 +409,13 @@ def pipeline_collision(
     if trials < 2:
         raise ValueError("need at least two trials to form pairs")
     master = rnglib.resolve_seed(seed)
-    [(counters, boots, rows)] = _run_chunked(
+    [(hist_report, code_report, branches, rows)] = _run_chunked(
         _pipeline_chunk, [(g, master)], trials, jobs, keep_rows=keep_digests
     )
-    hist_report, code_report = _pipeline_reports(counters, boots, trials)
     return PipelineCollisionReport(
         seed=master,
         trials=trials,
-        branch_counts=dict(sorted(counters[2].items())),
+        branch_counts=dict(sorted(branches.items())),
         histograms=hist_report,
         codes=code_report,
         digests=rows,
@@ -497,11 +483,8 @@ def scaling_experiment(
     ]
     # Largest size first: its chunks are the longest, so the pool does not
     # end on them.
-    tallies = _run_chunked(_pipeline_chunk, heads[::-1], trials, jobs)[::-1]
-    rows = [
-        ScalingRow(n, trials, *_pipeline_reports(counters, boots, trials))
-        for n, (counters, boots, _) in zip(sizes, tallies)
-    ]
+    reports = _run_chunked(_pipeline_chunk, heads[::-1], trials, jobs)[::-1]
+    rows = [ScalingRow(n, trials, hist, code) for n, (hist, code, _, _) in zip(sizes, reports)]
     code_slope, _ = fit_loglog_slope(sizes, [r.codes.max_mass_bound for r in rows])
     hist_slope, _ = fit_loglog_slope(sizes, [r.histograms.max_mass_bound for r in rows])
     boots = np.vstack([r.codes.bootstrap for r in rows])

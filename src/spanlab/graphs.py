@@ -433,7 +433,15 @@ def read_graph_file(path) -> Graph:
                 edges, bad, count = None, None, sum(1 for _ in lines)
             else:
                 edges, bad, count = _read_edges(lines)
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        # The codec counts from the start of the block it was decoding; the
+        # byte it met is the file's first non-ASCII byte.
+        with open(path, "rb") as fh:
+            data = fh.read()
+        at = len(data) - len(data.lstrip(bytes(range(128))))
+        where = UnicodeDecodeError(exc.encoding, data, at, at + 1, exc.reason)
+        raise GraphError(f"cannot read graph file {path}: {where}") from exc
+    except OSError as exc:
         raise GraphError(f"cannot read graph file {path}: {exc}") from exc
     if header is None:
         raise GraphError(f"{path}: empty graph file")

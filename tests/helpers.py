@@ -307,16 +307,18 @@ def eager_pipeline_collision(
         code = code_from_parents(redone.parent, redone.root, redone.degrees)
         rows.append((histogram_key(redone.degrees), code, outcome.branch))
     counters = tuple(Counter(column) for column in zip(*rows))
-    boots = [
-        experiments._bootstrap(list(counter.values()), trials, seed, which)
+    hist_report, code_report = (
+        experiments._collision_report(
+            counter, trials, rnglib.stream(seed, rnglib.BOOTSTRAP, which)
+        )
         for which, counter in enumerate(counters[:2])
-    ]
+    )
     return experiments.PipelineCollisionReport(
         seed=seed,
         trials=trials,
         branch_counts=dict(sorted(counters[2].items())),
-        histograms=experiments._collision_report(counters[0], trials, boots[0]),
-        codes=experiments._collision_report(counters[1], trials, boots[1]),
+        histograms=hist_report,
+        codes=code_report,
         digests=rows if keep_digests else None,
     )
 
@@ -447,11 +449,21 @@ def reference_build_graph(edges, n: int) -> Graph:
 
 def reference_read_graph_file(path) -> Graph:
     """``read_graph_file`` over a list of every line, each endpoint through
-    ``int()`` (the library keeps no lines and one int per vertex)."""
+    ``int()`` (the library keeps no lines and one int per vertex).  A decode
+    error names the offset of the file's first byte above 127, found one
+    byte at a time."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = [ln for raw in fh if (ln := raw.strip()) and ln[0] != "#"]
-    except (OSError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        at = next(i for i, byte in enumerate(data) if byte > 127)
+        raise GraphError(
+            f"cannot read graph file {path}: 'ascii' codec can't decode byte "
+            f"0x{data[at]:02x} in position {at}: ordinal not in range(128)"
+        ) from exc
+    except OSError as exc:
         raise GraphError(f"cannot read graph file {path}: {exc}") from exc
     if not lines:
         raise GraphError(f"{path}: empty graph file")

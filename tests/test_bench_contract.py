@@ -102,18 +102,19 @@ def test_pool_probe_replay_of_a_sweep(monkeypatch, jobs):
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", StandInPool)
     monkeypatch.setattr(StandInPool, "tasks", [])
     monkeypatch.setattr(StandInPool, "pools", 0)
-    real(**bound)
+    out = real(**bound)
+    # Eager: a lazy result would be timed before any trial ran, and the
+    # probe, which never reads it, would count no chunk.
+    assert type(out) is list and len(out) == 2
     if jobs == 1:
         # Runs in this process: no pool, nothing pickled.
         assert StandInPool.pools == 0 and StandInPool.tasks == []
         return
-    # 160 trials in chunks of ceil(160 / 16) = 10: 16 chunks per size, then
-    # two bootstraps per size, all on one pool.
+    # 160 trials in chunks of ceil(160 / 16) = 10: 16 chunks per size, all
+    # on one pool, and no other task (the bootstraps run in this process).
     assert StandInPool.pools == 1
-    chunks = [t for t in StandInPool.tasks if len(t) == 1]
-    boots = [t for t in StandInPool.tasks if len(t) == 4]
-    assert len(chunks) == 2 * 16 and len(boots) == 2 * 2
-    assert len(StandInPool.tasks) == 36
+    assert len(StandInPool.tasks) == 2 * 16
+    assert all(len(task) == 1 for task in StandInPool.tasks)
 
 
 def _workload_argvs() -> list[list[str]]:

@@ -9,6 +9,7 @@ import pytest
 import spanlab as sl
 from spanlab import HIGH_BRANCH, LOW_BRANCH, BipartiteOneOutInstance, CapExceededError, SpanningTree
 from spanlab import experiments
+from spanlab.cli import main
 from spanlab.experiments import _pipeline_chunk, _vector_from_picks, sample_choices
 from spanlab.graphs import GraphSpec, generate
 from spanlab.stats import percentile_interval
@@ -245,6 +246,23 @@ def test_pipeline_code_collisions_bounded_by_histograms():
     assert sum(report.branch_counts.values()) == 2000
 
 
+def test_codes_that_stop_refining_histograms_are_a_bug(monkeypatch, capsys):
+    # A broken coder gives every coded tree one code, so trees of different
+    # histograms collide as codes.  The guard raises, and the CLI lets the
+    # bug surface instead of reporting a domain error (exit 1).
+    monkeypatch.setattr(experiments, "code_from_parents", lambda *args: b"")
+    g = generate(GraphSpec.parse("bipartite:3,12"), 0)
+    with pytest.raises(AssertionError, match="codes no longer refine histograms"):
+        sl.pipeline_collision(g, 24, seed=4)
+    for argv in (
+        ["pipeline", "--gen", "bipartite:3,12", "--trials", "24"],
+        ["conjecture", "--d", "3", "--sizes", "10,15", "--trials", "24"],
+    ):
+        with pytest.raises(AssertionError, match="codes no longer refine histograms"):
+            main(["experiment", *argv, "--seed", "4"])
+        assert capsys.readouterr() == ("", "")
+
+
 def test_pipeline_k3_100_histogram_collision_regression():
     # Regression baseline, not ground truth: the histogram collision on
     # K_{3,100} sits near 0.02 and must stay strictly below 0.5.
@@ -393,7 +411,8 @@ def test_pipeline_reports_are_reproducible_and_jobs_invariant():
 
 @pytest.mark.parametrize("seed", [3, 17])
 def test_scaling_report_is_jobs_invariant(seed):
-    # The bootstraps run on the pool at jobs=2; every array must match.
+    # At jobs=2 the chunks run on the pool and the bootstraps in this
+    # process while later sizes run; every array must match.
     one, two = (
         sl.scaling_experiment(3, (30, 60, 90), trials=300, seed=seed, jobs=jobs) for jobs in (1, 2)
     )

@@ -400,19 +400,19 @@ GRAPH_FILE_ERRORS = {
     ),
     # Faults come in a fixed order, not in the order of the file.  A file
     # is decoded 8 KB at a time, so the padded byte 0xff is met only after
-    # the fault before it.
+    # the fault before it; its position is counted from the file's start.
     "bad-line-and-count": (b"3 2\n0 x\n", GraphError, "{path}: expected 2 edge lines, found 1"),
     "bad-line-then-non-ascii": (
         b"3 2\n0 x\n" + b"#\n" * 5000 + b"1 \xff\n",
         GraphError,
         "cannot read graph file {path}: 'ascii' codec can't decode byte 0xff "
-        "in position 1818: ordinal not in range(128)",
+        "in position 10010: ordinal not in range(128)",
     ),
     "bad-header-then-non-ascii": (
         b"oops\n" + b"#\n" * 5000 + b"\xff\n",
         GraphError,
         "cannot read graph file {path}: 'ascii' codec can't decode byte 0xff "
-        "in position 1813: ordinal not in range(128)",
+        "in position 10005: ordinal not in range(128)",
     ),
     "huge-header-and-bad-line": (
         b"2000000 1\n0 x\n",
