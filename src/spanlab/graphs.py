@@ -53,7 +53,8 @@ class Graph:
     """
 
     __slots__ = (
-        "n", "m", "neighbors", "degrees", "_connected", "_high_degree", "_low_neighbors"
+        "n", "m", "neighbors", "degrees", "common_degree",
+        "_connected", "_high_degree", "_low_neighbors",
     )
 
     def __init__(self, n: int, neighbors: tuple[tuple[int, ...], ...]):
@@ -61,6 +62,9 @@ class Graph:
         self.neighbors = neighbors
         self.degrees = tuple(map(len, neighbors))
         self.m = sum(self.degrees) // 2
+        # The degree every vertex has, or None when they differ (or n = 0).
+        degs = self.degrees
+        self.common_degree = degs[0] if degs and degs.count(degs[0]) == len(degs) else None
         self._connected: bool | None = None
         self._high_degree: tuple[bool, ...] | None = None  # see reconfig.high_degree
         self._low_neighbors: tuple[tuple[int, ...], ...] | None = None  # reconfig.low_neighbors

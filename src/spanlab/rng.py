@@ -160,7 +160,9 @@ def stream(master: int, *path: int) -> Generator:
     than scalar ``Generator.integers`` calls, never reaches ``k`` (the
     largest float64 below 1 times ``k`` rounds down), and carries a
     per-draw bias of order ``k * 2**-53``, far below anything the
-    statistical tests can resolve.
+    statistical tests can resolve.  Wilson's walk on a regular graph
+    takes the same indices from numpy, ``(u * k).astype(np.intp)`` over a
+    whole batch: the same float64 products, truncated the same way.
     """
     *pool, h = _mixed_prefix(master, path[:-1])
     if path:

@@ -6,7 +6,10 @@ distributional claims be cross-validated against sampler bias.  Each
 builds its tree from a parent array: Wilson's successor array, the
 first-entry edges, or the accepted one-out map itself.  Wilson's walks
 read one uniform float per step, in a fixed order, whatever shortcut the
-loop takes, so a given stream always gives the same tree.
+loop takes, so a given stream always gives the same tree.  On a regular
+graph of degree d they read each step's neighbour index ``int(x * d)``
+ready made: numpy multiplies and truncates a whole batch of the same
+floats, so the walk and its tree do not change.
 """
 
 from __future__ import annotations
@@ -16,11 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
+import numpy as np
+
 from .exact import CapExceededError, degree_product
 from .graphs import DisconnectedGraphError, Graph, connected
 from .trees import SpanningTree
 
 _CHUNK = 65536
+_PIECE = 256
 
 
 class AttemptsExhaustedError(RuntimeError):
@@ -29,12 +35,9 @@ class AttemptsExhaustedError(RuntimeError):
     code = "AttemptsExhausted"
 
 
-def _draws(rng, n: int):
-    """Endless iterator of uniform floats from ``rng``, drawn in batches.
-
-    The first batch is near a sampler's typical draw count (2n + 8) and
-    later ones grow fourfold up to ``_CHUNK``, so tiny graphs are not
-    charged for a huge batch each sample.
+def _draws(rng, n: int, d: int | None = None):
+    """Endless iterator of uniform floats x from ``rng``; given ``d``, of
+    the indices ``int(x * d)`` of the same floats (see ``_batches``).
 
     The batch sizes are part of ``results``: each sample throws away the
     unread rest of its last batch, and ``leaf_stats`` and
@@ -42,12 +45,26 @@ def _draws(rng, n: int):
     so other sizes shift every later sample.  Only a stream used for one
     sample (a pipeline trial's) could take other sizes unchanged.
     """
-    return chain.from_iterable(_batches(rng, 2 * n + 8))
+    return chain.from_iterable(_batches(rng, 2 * n + 8, d))
 
 
-def _batches(rng, chunk: int):
+def _batches(rng, chunk: int, d: int | None = None):
+    """Lists of ``_PIECE`` draws cut from batches of ``rng.random(chunk)``.
+
+    The first batch is near a sampler's typical draw count (2n + 8) and
+    later ones grow fourfold up to ``_CHUNK``, so tiny graphs are not
+    charged for a huge batch each sample.  Given ``d``, a batch becomes
+    ``(batch * d).astype(np.intp)``: the same IEEE products as Python's
+    ``x * d``, truncated toward zero as ``int`` does, so the indices equal
+    ``int(x * d)``.  A piece becomes Python objects only when the sampler
+    reaches it, so the unread rest of the last batch is never converted.
+    """
     while True:
-        yield rng.random(chunk).tolist()
+        batch = rng.random(chunk)
+        if d is not None:
+            batch = (batch * d).astype(np.intp)
+        for start in range(0, chunk, _PIECE):
+            yield batch[start : start + _PIECE].tolist()
         chunk = min(4 * chunk, _CHUNK)
 
 
@@ -56,17 +73,36 @@ def sample_wilson(g: Graph, rng) -> SpanningTree:
 
     Each walk starts with its first step out of the start vertex; when that
     step lands in the tree, the vertex joins it on that one draw, with no
-    walk to retrace.
+    walk to retrace.  A regular graph takes a loop of its own that reads
+    ready-made neighbour indices; it makes the same steps.
     """
     if not g.is_connected():
         raise DisconnectedGraphError("sampler requires a connected graph")
     n = g.n
     adj = g.neighbors
-    degs = g.degrees
-    draw = _draws(rng, n).__next__
     nxt = [0] * n
     in_tree = bytearray(n)
     in_tree[0] = 1
+    if g.common_degree is not None:
+        pick = _draws(rng, n, g.common_degree).__next__
+        for i in range(n):
+            if in_tree[i]:
+                continue
+            u = nxt[i] = adj[i][pick()]
+            if in_tree[u]:
+                in_tree[i] = 1
+                continue
+            while not in_tree[u]:
+                v = adj[u][pick()]
+                nxt[u] = v
+                u = v
+            u = i
+            while not in_tree[u]:
+                in_tree[u] = 1
+                u = nxt[u]
+        return SpanningTree.from_parents(g, nxt, root=0)
+    degs = g.degrees
+    draw = _draws(rng, n).__next__
     for i in range(n):
         if in_tree[i]:
             continue

@@ -14,10 +14,13 @@ pass and gives each vertex one int), bootstrap slopes are fitted one
 column at a time (the library fits every column in one call), streams are seeded through ``SeedSequence`` itself
 (the library reproduces its hash in Python ints), subsets and degree
 histograms are built one element at a time (the library builds them in
-C-level calls), and random trees come from uniform parent-sequence
-decoding.  A whole pipeline trial is rebuilt the way it was first
-written: Wilson walks retraced after every walk with floats read one at
-a time, selection from n-long may-parent lists on both branches, and
+C-level calls), sampler draws come from whole batches converted at once,
+with every neighbour index through ``int(x * d)`` (the library converts
+them piece by piece, and multiplies a regular graph's batch in numpy),
+and random trees come from uniform parent-sequence decoding.  A whole
+pipeline trial is rebuilt the way it was first written: Wilson walks
+retraced after every walk with floats read one at a time, selection
+from n-long may-parent lists on both branches, and
 codes from neighbour lists (the library walks once, reads a per-graph
 table of low-degree neighbours, and codes the parent array).  The eager
 tally codes every trial's tree and counts all rows in one pass (the
@@ -223,6 +226,16 @@ def reference_reconfigure(g: Graph, tree: SpanningTree, selection, rng) -> Spann
         for x, (v, cands) in zip(buf, selection.items()):
             edges.append((v, cands[int(x * len(cands))]))
     return SpanningTree.from_edges(g, edges)
+
+
+def reference_batches(rng, chunk: int, d: int | None = None):
+    """The samplers' draw batches, each converted whole: ``rng.random`` of
+    ``chunk`` floats first, then fourfold up to 65536; with ``d``, each
+    float x becomes ``int(x * d)``."""
+    while True:
+        batch = rng.random(chunk).tolist()
+        yield batch if d is None else [int(x * d) for x in batch]
+        chunk = min(4 * chunk, 65536)
 
 
 def reference_wilson(g: Graph, rng) -> SpanningTree:

@@ -48,6 +48,17 @@ def test_pickle_keeps_the_graph_and_drops_its_caches():
     assert g.__reduce__()[1] == (g.n, g.neighbors)
 
 
+def test_common_degree_survives_a_pickle_and_an_edge_removal():
+    g = sl.random_regular(4, 30, sl.stream(3))
+    # Drop an edge away from vertex 0, whose degree stays 4.
+    edges = [e for e in g.edges() if 0 not in e]
+    irregular = sl.build_graph([e for e in g.edges() if e != edges[-1]], g.n)
+    for graph, d in ((g, 4), (irregular, None), (sl.complete_bipartite(3, 30), None)):
+        copy = pickle.loads(pickle.dumps(graph))
+        assert graph.common_degree == copy.common_degree == d
+    assert sl.complete_graph(1).common_degree == 0
+
+
 def test_duplicate_edge_rejected():
     with pytest.raises(DuplicateEdgeError):
         sl.build_graph([(0, 1), (0, 1)], 2)

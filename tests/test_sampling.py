@@ -6,9 +6,11 @@ import pytest
 
 import spanlab as sl
 from spanlab import AttemptsExhaustedError, CapExceededError
+from spanlab import sampling
+from spanlab.graphs import GraphSpec, generate
 from spanlab.sampling import SAMPLERS, mutual_root
 
-from helpers import _is_tree, random_connected_graph
+from helpers import _is_tree, random_connected_graph, reference_batches, reference_wilson
 
 ALL_SAMPLERS = sorted(SAMPLERS)
 
@@ -28,6 +30,55 @@ def test_tree_input_returns_itself(name):
     g = sl.path_graph(6)
     t = SAMPLERS[name](g, sl.stream(8))
     assert t.edge_key() == tuple(g.edges())
+
+
+@pytest.mark.parametrize(
+    "spec, regular",
+    [
+        ("complete:1", True),  # d = 0: no walk is ever taken
+        ("complete:2", True),
+        ("regular:2,30", True),
+        ("bipartite:4,4", True),
+        ("complete:300", True),  # d > 256: indices past the small-int cache
+        ("regular:16,2048", True),
+        ("bipartite:4,5", False),
+        ("gnp:60,0.2,3", False),
+    ],
+)
+def test_wilson_matches_the_one_float_per_step_walk(spec, regular):
+    g = generate(GraphSpec.parse(spec), 0)
+    assert (g.common_degree is not None) == regular
+    for t in range(20):
+        tree = sl.sample_wilson(g, sl.stream(31, t))
+        ref = reference_wilson(g, sl.stream(31, t))
+        assert (tree.root, list(tree.parent)) == (ref.root, list(ref.parent))
+
+
+@pytest.mark.parametrize(
+    "name, spec",
+    [
+        ("wilson", "regular:3,200"),
+        ("wilson", "bipartite:2,150"),
+        ("ab", "regular:3,200"),
+        ("ab", "bipartite:2,150"),
+        ("reject", "complete:40"),
+        ("reject", "bipartite:2,150"),
+    ],
+)
+def test_samples_in_a_row_consume_whole_batches(name, spec, monkeypatch):
+    # Each sample drops the unread rest of its last batch, so the next
+    # sample's floats depend on the batch sizes drawn, not on how much of
+    # a batch was converted.
+    g = generate(GraphSpec.parse(spec), 0)
+    rng = sl.stream(32)
+    trees = [SAMPLERS[name](g, rng) for _ in range(20)]
+    monkeypatch.setattr(sampling, "_batches", reference_batches)
+    ref_rng = sl.stream(32)
+    refs = [SAMPLERS[name](g, ref_rng) for _ in range(20)]
+    assert [(t.root, list(t.parent)) for t in trees] == [
+        (t.root, list(t.parent)) for t in refs
+    ]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_triangle_support():
