@@ -10,6 +10,7 @@ sequences that reconfiguration produces.
 __version__ = "0.1.0"
 
 from .graphs import (
+    DomainError,
     Graph,
     GraphSpec,
     build_graph,
@@ -55,16 +56,11 @@ from .reconfig import (
     select_leaves,
     validate_selection,
 )
-from .canonical import (
-    canonical_code,
-    code_from_neighbors,
-    code_from_parents,
-    count_non_isomorphic,
-    histogram_key,
-)
+from .canonical import code_from_neighbors, code_from_parents, histogram_key
 from .experiments import (
     BipartiteOneOutInstance,
     CollisionReport,
+    count_non_isomorphic,
     estimate_max_point_mass,
     exact_vector_distribution,
     instance_from_selection,

@@ -1,28 +1,18 @@
-"""Canonical codes and degree statistics for unlabeled trees.
+"""Canonical codes and degree-histogram keys of unlabeled trees.
 
-Codes are nested-parenthesis byte strings rooted at the tree's center
-(the lexicographically smaller encoding when there are two centers), so
-two trees get equal codes exactly when they are isomorphic.  One kernel,
-``code_from_parents``, computes them from a tree's parent array; edge
-lists and adjacency lists are turned into a parent array first.
+This module builds codes only; it samples and counts nothing.  Codes are
+nested-parenthesis byte strings rooted at the tree's center (the
+lexicographically smaller encoding when there are two centers), so two
+trees get equal codes exactly when they are isomorphic.  One kernel,
+``code_from_parents``, computes them from a tree's parent array;
+``code_from_neighbors`` turns adjacency lists into one first.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .exact import CapExceededError, count_spanning_trees, enumerate_spanning_trees
-from .graphs import Graph, connected
-from .sampling import sample_wilson
-from .trees import tree_neighbors
-from . import rng as rnglib
-
-
-def canonical_code(edges, n: int) -> bytes:
-    """Order-invariant encoding of a tree given as an edge list."""
-    nbrs, parent = tree_neighbors(list(edges), n)
-    return code_from_parents(parent, 0, list(map(len, nbrs)))
+from .graphs import connected
 
 
 def code_from_neighbors(nbrs) -> bytes:
@@ -122,56 +112,3 @@ def _wrap(kids, leaf_kids: int) -> bytes:
 def histogram_key(degrees) -> tuple[tuple[int, int], ...]:
     """Hashable digest of a degree histogram."""
     return tuple(sorted(Counter(degrees).items()))
-
-
-@dataclass
-class NonIsoCountReport:
-    mode: str
-    distinct: int
-    total_spanning_trees: int | None  # exact mode only
-    samples: int | None  # sampled mode only
-    coverage: float  # Good-Turing estimate of observed probability mass
-    unseen_mass: float
-
-
-def count_non_isomorphic(
-    g: Graph, mode: str, budget: int, seed: int | None = None
-) -> NonIsoCountReport:
-    """Number of distinct spanning-tree shapes of g.
-
-    Exact mode canonicalizes every spanning tree (requires the count to
-    fit the budget); sampled mode canonicalizes ``budget`` uniform samples
-    and reports the distinct count (a lower bound) with a Good-Turing
-    unseen-mass estimate.
-    """
-    if mode == "exact":
-        total = count_spanning_trees(g)
-        if total > budget:
-            raise CapExceededError(
-                f"{total} spanning trees exceed the exact-mode budget {budget}"
-            )
-        trees = enumerate_spanning_trees(g, budget)
-        codes = {code_from_parents(t.parent, t.root, t.degrees) for t in trees}
-        return NonIsoCountReport(
-            mode="exact",
-            distinct=len(codes),
-            total_spanning_trees=total,
-            samples=None,
-            coverage=1.0,
-            unseen_mass=0.0,
-        )
-    if mode == "sampled":
-        master = rnglib.resolve_seed(seed)
-        trees = (sample_wilson(g, rnglib.stream(master, rnglib.TREE, t)) for t in range(budget))
-        seen = Counter(code_from_parents(t.parent, t.root, t.degrees) for t in trees)
-        singletons = sum(1 for c in seen.values() if c == 1)
-        unseen = singletons / budget if budget else 1.0
-        return NonIsoCountReport(
-            mode="sampled",
-            distinct=len(seen),
-            total_spanning_trees=None,
-            samples=budget,
-            coverage=1.0 - unseen,
-            unseen_mass=unseen,
-        )
-    raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'sampled'")

@@ -6,7 +6,8 @@ after ``experiment``.  Each parses only the flags it reads, and flags must
 be spelled in full; every one takes ``--jobs``, which only pipeline and
 conjecture read.  ``config`` records every option the command took except
 ``--out``, with the resolved seed, so it replays the run.  Exit codes: 0
-success, 1 domain error, 2 usage error.  Identical (config, seed) pairs
+success, 1 domain error (a ``DomainError``, written to stderr as one JSON
+line with its ``code``), 2 usage error.  Identical (config, seed) pairs
 produce byte-identical payloads (timestamps live in a separate field).
 """
 
@@ -23,9 +24,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from . import rng as rnglib
-from .canonical import CapExceededError, count_non_isomorphic
 from .exact import (
-    MatrixTooLargeError,
     count_spanning_trees,
     degree_product,
     enumerate_spanning_trees,
@@ -34,6 +33,7 @@ from .exact import (
 from .experiments import (
     CI_METHOD,
     check_sizes,
+    count_non_isomorphic,
     estimate_max_point_mass,
     instance_from_selection,
     multinomial_baseline,
@@ -41,34 +41,15 @@ from .experiments import (
     scaling_experiment,
     uniformity_experiment,
 )
-from .graphs import GraphError, GraphSpec, generate, read_graph_file
+from .graphs import SPEC_GRAMMAR, DomainError, GraphError, GraphSpec, generate, read_graph_file
 from .reconfig import audit_reversibility, sample_vertex_subset, select_leaves
-from .sampling import (
-    SAMPLERS,
-    AttemptsExhaustedError,
-    leaf_stats,
-    sample_rejection_one_out,
-    sample_wilson,
-)
-from .trees import NotATreeError
+from .sampling import SAMPLERS, leaf_stats, sample_rejection_one_out, sample_wilson
 
 
-class EmptySelectionError(ValueError):
+class EmptySelectionError(DomainError, ValueError):
     """The leaf selection an experiment builds its instance from is empty."""
 
     code = "EmptySelection"
-
-
-# Only classes that carry a typed ``code``: any other exception is a bug
-# and must surface as one, not as a JSON domain error.
-DOMAIN_ERRORS = (
-    GraphError,
-    CapExceededError,
-    AttemptsExhaustedError,
-    NotATreeError,
-    MatrixTooLargeError,
-    EmptySelectionError,
-)
 
 
 # Argument types: argparse turns their ValueError into a usage error (exit 2).
@@ -161,7 +142,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
             p.add_argument(
                 "--gen",
                 metavar="SPEC",
-                help="generated family: complete:n | bipartite:a,b | regular:d,n | gnp:n,p,d",
+                help=f"generated family: {SPEC_GRAMMAR}",
             )
         p.add_argument("--seed", type=u64, default=None, help="64-bit master seed")
         if trials is not None:
@@ -568,9 +549,8 @@ def main(argv=None) -> int:
     started = datetime.now(timezone.utc).isoformat()
     try:
         payload, rows = HANDLERS[args.command](args, parser, seed)
-    except DOMAIN_ERRORS as exc:
-        code = getattr(exc, "code", type(exc).__name__)
-        sys.stderr.write(json.dumps({"error": code, "message": str(exc)}) + "\n")
+    except DomainError as exc:
+        sys.stderr.write(json.dumps({"error": exc.code, "message": str(exc)}) + "\n")
         return 1
     return _emit(args, payload, rows, seed, started)
 

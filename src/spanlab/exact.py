@@ -18,7 +18,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import DomainError, Graph
 from .trees import SpanningTree
 
 # Elimination mod p runs in float64, whose integers are exact below 2**53.
@@ -54,11 +54,11 @@ _BLOCK = 32
 _WINDOW = 2**12
 
 
-class CapExceededError(RuntimeError):
+class CapExceededError(DomainError, RuntimeError):
     code = "CapExceeded"
 
 
-class MatrixTooLargeError(ValueError):
+class MatrixTooLargeError(DomainError, ValueError):
     """The matrix is outside the range where modular elimination is exact."""
 
     code = "MatrixTooLarge"

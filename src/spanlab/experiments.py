@@ -1,4 +1,5 @@
-"""Monte Carlo experiments: degree-vector anticoncentration and uniformity.
+"""Monte Carlo experiments: degree-vector anticoncentration, uniformity,
+and the count of non-isomorphic spanning trees.
 
 Maximum point masses are bounded through pairwise collisions: the
 collision probability sum(p^2) is estimable from quadratically many
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import rng as rnglib
 from .canonical import code_from_parents, histogram_key
-from .exact import CapExceededError, enumerate_spanning_trees
+from .exact import CapExceededError, count_spanning_trees, enumerate_spanning_trees
 from .graphs import Graph, complete_bipartite
 from .reconfig import sample_vertex_subset, select_leaves, reconfigure
 from .sampling import SAMPLERS, sample_wilson
@@ -619,3 +620,60 @@ def uniformity_experiment(
     rows.append(UniformityRow("pipeline", trials, support, stat, pvalue))
     return UniformityReport(seed=master, support=support, rows=rows)
 
+
+# ---------------------------------------------------------------------------
+# Non-isomorphic spanning-tree counts
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class NonIsoCountReport:
+    mode: str
+    distinct: int
+    total_spanning_trees: int | None  # exact mode only
+    samples: int | None  # sampled mode only
+    coverage: float  # Good-Turing estimate of observed probability mass
+    unseen_mass: float
+
+
+def count_non_isomorphic(
+    g: Graph, mode: str, budget: int, seed: int | None = None
+) -> NonIsoCountReport:
+    """Number of distinct spanning-tree shapes of g.
+
+    Exact mode canonicalizes every spanning tree (requires the count to
+    fit the budget); sampled mode canonicalizes ``budget`` uniform samples
+    and reports the distinct count (a lower bound) with a Good-Turing
+    unseen-mass estimate.
+    """
+    if mode == "exact":
+        total = count_spanning_trees(g)
+        if total > budget:
+            raise CapExceededError(
+                f"{total} spanning trees exceed the exact-mode budget {budget}"
+            )
+        trees = enumerate_spanning_trees(g, budget)
+        codes = {code_from_parents(t.parent, t.root, t.degrees) for t in trees}
+        return NonIsoCountReport(
+            mode="exact",
+            distinct=len(codes),
+            total_spanning_trees=total,
+            samples=None,
+            coverage=1.0,
+            unseen_mass=0.0,
+        )
+    if mode == "sampled":
+        master = rnglib.resolve_seed(seed)
+        trees = (sample_wilson(g, rnglib.stream(master, rnglib.TREE, t)) for t in range(budget))
+        seen = Counter(code_from_parents(t.parent, t.root, t.degrees) for t in trees)
+        singletons = sum(1 for c in seen.values() if c == 1)
+        unseen = singletons / budget if budget else 1.0
+        return NonIsoCountReport(
+            mode="sampled",
+            distinct=len(seen),
+            total_spanning_trees=None,
+            samples=budget,
+            coverage=1.0 - unseen,
+            unseen_mass=unseen,
+        )
+    raise ValueError(f"unknown mode {mode!r}; use 'exact' or 'sampled'")

@@ -15,7 +15,15 @@ import numpy as np
 from . import rng as rnglib
 
 
-class GraphError(ValueError):
+class DomainError(Exception):
+    """Bad input or an infeasible request, as opposed to a bug.
+
+    Every subclass names its own ``code``; the CLI reports one as exit 1
+    and a JSON line with that code, and lets any other exception surface.
+    """
+
+
+class GraphError(DomainError, ValueError):
     """Invalid graph construction or generation input."""
 
     code = "GraphError"
@@ -199,8 +207,12 @@ def path_graph(n: int) -> Graph:
 
 
 def _check_regular(d: int, n: int) -> None:
+    """Raise InfeasibleSpecError unless some simple d-regular graph on n
+    vertices is connected: d = 0 needs n = 1, and d = 1 needs n = 2."""
     if d < 0 or n < 1 or d >= n or (d * n) % 2 != 0:
         raise InfeasibleSpecError(f"no simple {d}-regular graph on {n} vertices")
+    if d < 2 and n > d + 1:
+        raise InfeasibleSpecError(f"no {d}-regular graph on {n} vertices is connected")
 
 
 def random_regular(d: int, n: int, rng, retries: int = 1000) -> Graph:
@@ -331,13 +343,15 @@ def gnp_min_degree(n: int, p: float, d: int, rng, retries: int = 1000) -> Graph:
 # Graph specs (CLI / experiment input descriptions)
 # ---------------------------------------------------------------------------
 
+SPEC_GRAMMAR = "complete:n | bipartite:a,b | regular:d,n | gnp:n,p,d"
+
 
 @dataclass(frozen=True)
 class GraphSpec:
     """A named graph family plus parameters.
 
-    Families: ``complete:n``, ``bipartite:a,b``, ``regular:d,n``,
-    ``gnp:n,p,d`` (min-degree-conditioned G(n,p)).
+    The families are those of ``SPEC_GRAMMAR``; ``gnp`` is G(n,p)
+    conditioned on min degree d.
     """
 
     family: str
@@ -372,10 +386,7 @@ class GraphSpec:
             raise
         except ValueError:
             pass
-        raise InfeasibleSpecError(
-            f"cannot parse graph spec {text!r}; expected "
-            "complete:n | bipartite:a,b | regular:d,n | gnp:n,p,d"
-        )
+        raise InfeasibleSpecError(f"cannot parse graph spec {text!r}; expected {SPEC_GRAMMAR}")
 
     def describe(self) -> str:
         return f"{self.family}:{','.join(str(p) for p in self.params)}"

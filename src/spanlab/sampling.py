@@ -22,14 +22,14 @@ from itertools import chain
 import numpy as np
 
 from .exact import CapExceededError, degree_product
-from .graphs import DisconnectedGraphError, Graph, connected
+from .graphs import DisconnectedGraphError, DomainError, Graph, connected
 from .trees import SpanningTree
 
 _CHUNK = 65536
 _PIECE = 256
 
 
-class AttemptsExhaustedError(RuntimeError):
+class AttemptsExhaustedError(DomainError, RuntimeError):
     """Rejection sampling ran out of attempts (acceptance rate too low)."""
 
     code = "AttemptsExhausted"

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from .graphs import Graph, connected
+from .graphs import DomainError, Graph, connected
 
 
-class NotATreeError(ValueError):
+class NotATreeError(DomainError, ValueError):
     code = "NotATree"
 
 

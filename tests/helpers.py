@@ -111,6 +111,13 @@ def tree_adjacency(tree: SpanningTree) -> list[list[int]]:
     return _adjacency(tree.parent, tree.root)
 
 
+def edge_list_code(edges, n: int) -> bytes:
+    """The library's code of a tree given as an edge list on ``0..n-1``,
+    checked by ``SpanningTree.from_edges`` on the graph of its own edges."""
+    tree = SpanningTree.from_edges(build_graph(edges, n), edges)
+    return code_from_parents(tree.parent, tree.root, tree.degrees)
+
+
 def _adjacency(parent, root: int) -> list[list[int]]:
     nbrs: list[list[int]] = [[] for _ in parent]
     for v, p in enumerate(parent):

@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spanlab as sl
-from spanlab import CapExceededError, NotATreeError
+from spanlab import CapExceededError, NotATreeError, canonical
 from spanlab.canonical import code_from_neighbors, code_from_parents
+from spanlab.trees import tree_neighbors
 
 from helpers import (
     brute_isomorphic,
+    edge_list_code,
     prufer_tree_edges,
     random_tree_edges,
     reference_code,
@@ -132,7 +136,7 @@ def _spider(legs):
 def test_code_matches_reference_on_shapes(edges, n, centers):
     nbrs = _neighbors(edges, n)
     assert code_from_neighbors(nbrs) == reference_code(nbrs)
-    assert sl.canonical_code(edges, n) == reference_code(nbrs)
+    assert edge_list_code(edges, n) == reference_code(nbrs)
     # The oracle's leaf stripping may list a lone center twice.
     assert len(set(tree_centers(nbrs))) == centers
 
@@ -145,15 +149,15 @@ def test_code_matches_reference_on_sampled_trees():
 
 
 def test_path_vs_star_codes_differ():
-    path = sl.canonical_code([(0, 1), (1, 2), (2, 3)], 4)
-    star = sl.canonical_code([(0, 1), (0, 2), (0, 3)], 4)
+    path = edge_list_code([(0, 1), (1, 2), (2, 3)], 4)
+    star = edge_list_code([(0, 1), (0, 2), (0, 3)], 4)
     assert path != star
 
 
 def test_relabeling_invariance():
-    path = sl.canonical_code([(0, 1), (1, 2), (2, 3)], 4)
+    path = edge_list_code([(0, 1), (1, 2), (2, 3)], 4)
     # Same path with labels permuted: 2-0-3-1.
-    relabeled = sl.canonical_code([(0, 2), (0, 3), (1, 3)], 4)
+    relabeled = edge_list_code([(0, 2), (0, 3), (1, 3)], 4)
     assert path == relabeled
 
 
@@ -164,17 +168,35 @@ def test_k4_spanning_trees_two_shapes():
 
 
 def test_not_a_tree_errors():
+    # SpanningTree.from_edges, the checked way from an edge list to a code,
+    # refuses these in tree_neighbors.
     with pytest.raises(NotATreeError):
-        sl.canonical_code([(0, 1), (1, 2), (0, 2)], 3)  # cycle
+        tree_neighbors([(0, 1), (1, 2), (0, 2)], 3)  # cycle
     with pytest.raises(NotATreeError):
-        sl.canonical_code([(0, 1)], 3)  # disconnected
+        tree_neighbors([(0, 1)], 3)  # disconnected
     with pytest.raises(NotATreeError):
-        sl.canonical_code([(0, 0)], 1)
+        tree_neighbors([(0, 0)], 1)
+
+
+def test_canonical_imports_no_sampler_counter_or_stream():
+    # Building codes stays a leaf: of spanlab's modules, canonical may
+    # import only graphs and trees.
+    imported = set()
+    for node in ast.walk(ast.parse(Path(canonical.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ("spanlab." * bool(node.level) + (node.module or "")).rstrip(".")
+            modules = [f"{base}.{a.name}" for a in node.names] if base == "spanlab" else [base]
+        else:
+            continue
+        imported |= {m.partition(".")[2] or m for m in modules if m.split(".")[0] == "spanlab"}
+    assert imported <= {"graphs", "trees"}, imported
 
 
 def test_tiny_trees():
-    assert sl.canonical_code([], 1) == b"()"
-    assert sl.canonical_code([(0, 1)], 2) == b"(())"
+    assert edge_list_code([], 1) == b"()"
+    assert edge_list_code([(0, 1)], 2) == b"(())"
 
 
 def test_coding_a_big_star_keeps_no_memory():
@@ -202,7 +224,7 @@ def test_code_equality_matches_brute_isomorphism():
             b = relabel_edges(a, perm)
         else:
             b = random_tree_edges(n, rng)
-        same_code = sl.canonical_code(a, n) == sl.canonical_code(b, n)
+        same_code = edge_list_code(a, n) == edge_list_code(b, n)
         iso = brute_isomorphic(a, b, n)
         assert same_code == iso
         checked_equal += same_code
@@ -244,7 +266,7 @@ def test_distinct_histograms_imply_distinct_codes():
         a = random_tree_edges(n, rng)
         b = random_tree_edges(n, rng)
         if sl.histogram_key(_degrees(a, n)) != sl.histogram_key(_degrees(b, n)):
-            assert sl.canonical_code(a, n) != sl.canonical_code(b, n)
+            assert edge_list_code(a, n) != edge_list_code(b, n)
 
 
 def _degrees(edges, n):

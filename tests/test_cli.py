@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spanlab as sl
-from spanlab import cli
+from spanlab import DomainError, cli
 from spanlab.cli import main
 
 from helpers import graph_file_bytes, random_connected_graph
@@ -558,10 +558,11 @@ def test_abbreviated_flags_are_refused(capsys, argv):
     [
         ("gnp:2,0.5,2", "no graph on 2 vertices has min degree 2"),
         ("gnp:6,0,1", "G(6,0) has no edge, so it is never connected"),
+        ("regular:1,2000", "no 1-regular graph on 2000 vertices is connected"),
     ],
 )
 def test_infeasible_gnp_spec_is_usage_error(capsys, spec, reason):
-    # Refused when the spec is parsed, before any G(n,p) draw.
+    # Refused when the spec is parsed, before any draw.
     with pytest.raises(SystemExit) as exc:
         main(["count-exact", "--gen", spec, "--seed", "1"])
     assert exc.value.code == 2
@@ -682,24 +683,43 @@ def test_one_tree_uniformity_is_strict_json(capsys):
     assert all(row["pvalue"] == 1.0 for row in rows)
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+DOMAIN_CLASSES = list(_subclasses(DomainError))
+TYPED_CODES = {cls.code for cls in DOMAIN_CLASSES}
+
+
 def test_value_error_in_handler_is_not_a_domain_error(monkeypatch, capsys):
     def broken(args, parser, seed):
         raise ValueError("a bug, not bad input")
 
-    assert all(isinstance(cls.__dict__.get("code"), str) for cls in cli.DOMAIN_ERRORS)
+    assert all(isinstance(cls.__dict__.get("code"), str) for cls in DOMAIN_CLASSES)
     monkeypatch.setitem(cli.HANDLERS, "count-exact", broken)
     with pytest.raises(ValueError, match="a bug"):
         main(["count-exact", "--gen", "complete:3"])
     assert capsys.readouterr().err == ""
 
 
-def _codes(classes):
-    for cls in classes:
-        yield getattr(cls, "code", None)
-        yield from _codes(cls.__subclasses__())
+def test_every_domain_error_exits_one_with_its_own_code(monkeypatch, capsys):
+    # Raised from a handler, each subclass of DomainError (twelve when this
+    # was written) is reported by its own code, and no two share one.
+    assert len(DOMAIN_CLASSES) >= 12
+    assert all(isinstance(cls.__dict__.get("code"), str) for cls in DOMAIN_CLASSES)
+    assert len(TYPED_CODES) == len(DOMAIN_CLASSES)
+    for cls in DOMAIN_CLASSES:
+        def raise_it(args, parser, seed):
+            raise cls(f"a {cls.__name__}")
 
-
-TYPED_CODES = set(_codes(cli.DOMAIN_ERRORS)) - {None}
+        monkeypatch.setitem(cli.HANDLERS, "count-exact", raise_it)
+        assert main(["count-exact", "--gen", "complete:3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {"error": cls.code, "message": f"a {cls.__name__}"}
 
 @settings(max_examples=300, deadline=None)
 @given(graph_file_bytes())

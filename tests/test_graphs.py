@@ -208,16 +208,24 @@ def test_random_regular_matches_oracle():
     assert retried >= 3
 
 
-@pytest.mark.parametrize("d,n", [(1, 4), (1, 10), (0, 2)])
-def test_random_regular_unconnectable_matches_oracle(d, n):
-    # A perfect matching on n >= 4 vertices, or no edges at all, never
-    # connects: every retry runs the switches and fails.
-    fast = sl.stream(5, rnglib.GENERATE)
-    slow = sl.stream(5, rnglib.GENERATE)
+@pytest.mark.parametrize(
+    "d,n,seed,pairings",
+    [
+        pytest.param(2, 16, 4, 4, id="2-16"),
+        pytest.param(2, 30, 5, 4, id="2-30"),
+        pytest.param(2, 12, 4, 2, id="2-12"),
+    ],
+)
+def test_random_regular_unconnectable_matches_oracle(d, n, seed, pairings):
+    # At these seeds every 2-regular draw of the four retries splits into
+    # several cycles, so the retries run out; on 12 vertices two of them
+    # cannot even pair their stubs.
+    fast = sl.stream(seed, rnglib.GENERATE)
+    slow = sl.stream(seed, rnglib.GENERATE)
     with pytest.raises(GenerationRetriesExhaustedError):
         sl.random_regular(d, n, fast, retries=4)
     want, built = oracle_random_regular(d, n, slow, retries=4)
-    assert want is None and built == 4
+    assert want is None and built == pairings
     assert fast.bit_generator.state == slow.bit_generator.state
 
 
@@ -357,6 +365,34 @@ def test_gnp_spec_feasibility(text, feasible):
         sl.GraphSpec.parse(text)
     with pytest.raises(InfeasibleSpecError):
         sl.gnp_min_degree(n, p, d, NoDraws())
+
+
+# regular:d,n specs by feasibility: d = 0 with n >= 2, or d = 1 with n >= 3,
+# has no connected draw and is refused before any draw.
+REGULAR_SPECS = {
+    "regular:0,2": False,
+    "regular:0,5": False,
+    "regular:1,4": False,
+    "regular:1,2000": False,
+    "regular:0,1": True,
+    "regular:1,2": True,
+    "regular:2,3": True,
+}
+
+
+@pytest.mark.parametrize("text,feasible", REGULAR_SPECS.items(), ids=REGULAR_SPECS.keys())
+def test_regular_spec_feasibility(text, feasible):
+    d, n = (int(x) for x in text.split(":")[1].split(","))
+    if feasible:
+        spec = sl.GraphSpec.parse(text)
+        assert spec.params == (d, n)
+        g = sl.generate(spec, seed=3)
+        assert g.is_connected() and g.common_degree == d
+        return
+    with pytest.raises(InfeasibleSpecError, match="is connected"):
+        sl.GraphSpec.parse(text)
+    with pytest.raises(InfeasibleSpecError, match="is connected"):
+        sl.random_regular(d, n, NoDraws())
 
 
 GRAPH_FILE_ERRORS = {
