@@ -255,18 +255,28 @@ def estimate_max_point_mass(
 # ---------------------------------------------------------------------------
 
 
-def pipeline_reconfigured_tree(g: Graph, master: int, t: int):
+# The stream roles of one pipeline trial: tree, subset and new parents.
+_TRIAL_ROLES = (rnglib.TREE, rnglib.SUBSET, rnglib.RECONF)
+
+
+def pipeline_reconfigured_tree(g: Graph, master: int, t: int, rngs=None):
     """Trial t of the pipeline: uniform tree -> random subset -> reconfigure.
 
     Returns the reconfigured tree and the strategy outcome.  The subset
     stream is separate from the tree stream (their independence is what
     keeps the reconfigured tree uniform), and the new-parent stream is
-    separate again.
+    separate again.  ``rngs`` holds the trial's three streams, one per
+    role of ``_TRIAL_ROLES``, when the caller derived them already
+    (``_pipeline_chunk`` does, for a whole chunk); without it they are
+    derived here.
     """
-    tree = sample_wilson(g, rnglib.stream(master, rnglib.TREE, t))
-    subset = sample_vertex_subset(g.n, rnglib.stream(master, rnglib.SUBSET, t))
+    if rngs is None:
+        rngs = [rnglib.stream(master, role, t) for role in _TRIAL_ROLES]
+    tree_rng, subset_rng, reconf_rng = rngs
+    tree = sample_wilson(g, tree_rng)
+    subset = sample_vertex_subset(g.n, subset_rng)
     outcome = select_leaves(g, tree, subset)
-    redone = reconfigure(g, tree, outcome.selection, rnglib.stream(master, rnglib.RECONF, t))
+    redone = reconfigure(g, tree, outcome.selection, reconf_rng)
     return redone, outcome
 
 
@@ -279,12 +289,16 @@ def _pipeline_chunk(args):
     a histogram; from then on the trees held so far and every later tree
     are coded here.  The tally (``_tally_head``) codes a tree still held
     only if its histogram repeats in another chunk of its head, or if
-    every code is asked for."""
+    every code is asked for.  The trials' streams come from
+    ``rnglib.streams``, a chunk's range per role at once."""
     g, master, lo, hi = args
     rows = []
     seen = set()  # the chunk's histograms, until the first repeat; then None
-    for t in range(lo, hi):
-        redone, outcome = pipeline_reconfigured_tree(g, master, t)
+    rngs = zip(*(rnglib.streams(master, role, lo, hi) for role in _TRIAL_ROLES))
+    for t, trial_rngs in zip(range(lo, hi), rngs):
+        # Called through the module global with (g, master, t) leading:
+        # spanbench/spans.py wraps it there and reads the trial id off it.
+        redone, outcome = pipeline_reconfigured_tree(g, master, t, trial_rngs)
         hist = histogram_key(redone.degrees)
         if seen is not None and hist not in seen:
             seen.add(hist)

@@ -9,11 +9,15 @@ run in parallel without any shared RNG state.
 bit, computed here in Python ints: the master seed and every path word
 but the last are mixed once and memoised, so a per-trial stream only
 absorbs the words of its last path element and runs the output hash.
+``streams(master, role, lo, hi)`` yields the streams ``(role, t)`` of a
+range of trials, the same words computed for a block of trials at once
+in numpy; the pipeline's chunk loop takes its trials' streams from it,
+and every single address elsewhere comes from ``stream``.
 The returned generators draw exactly what
 ``Generator(PCG64(SeedSequence(master, spawn_key=path)))`` draws, but
 their bit generator holds only the derived seed words: no generator
-from ``stream`` spawns (``.spawn()`` raises ``TypeError``) and
-``.seed_seq`` is not a ``SeedSequence``.
+from ``stream`` or ``streams`` spawns (``.spawn()`` raises
+``TypeError``) and ``.seed_seq`` is not a ``SeedSequence``.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import functools
 import operator
 import secrets
+from collections.abc import Iterator
 
 import numpy as np
 from numpy.random import PCG64, Generator
@@ -178,3 +183,46 @@ def stream(master: int, *path: int) -> Generator:
         out[4] | out[5] << 32, out[6] | out[7] << 32,
     ]
     return Generator(PCG64(_SeedWords(np.array(words, dtype=np.uint64))))
+
+
+def streams(master: int, role: int, lo: int, hi: int) -> Iterator[Generator]:
+    """Yield ``stream(master, role, t)`` for t = lo, ..., hi - 1, bit for bit.
+
+    A trial index below 2**32 is one 32-bit word, and the hash constants
+    its absorption and the output hash use do not depend on its value.  So
+    the seed words of a block of such indices are computed at once, on
+    int64 arrays that keep the low 32 bits of every product as
+    SeedSequence's uint32 arithmetic does, starting from the memoised
+    ``(master, role)`` pool.  Blocks are bounded and generators are made
+    one at a time, so memory does not grow with the range.  Indices from
+    2**32 on take ``stream`` itself; a negative one raises as it does.
+    """
+    if lo < 0:
+        raise ValueError("expected non-negative integer")
+    *pool, h = _mixed_prefix(master, (role,))
+    # The last word is absorbed into each pool word in turn: hashmix xors
+    # it with the hash constant, then multiplies by the constant's update.
+    consts = [h]
+    for _ in range(_POOL_SIZE):
+        consts.append(consts[-1] * _MULT_A & _MASK32)
+    absorb_xor = np.array(consts[:-1], dtype=np.int64)
+    absorb_mult = np.array(consts[1:], dtype=np.int64)
+    mixed = np.array([_MIX_MULT_L * x & _MASK32 for x in pool], dtype=np.int64)
+    out_xor, out_mult = np.array(_OUTPUT, dtype=np.int64).T
+    block = 1024  # trials per pass: 64 KB of int64 output words
+    stop = max(min(hi, 1 << 32), lo)
+    for start in range(lo, stop, block):
+        t = np.arange(start, min(start + block, stop), dtype=np.int64)
+        v = (t[:, None] ^ absorb_xor) * absorb_mult & _MASK32
+        v ^= v >> 16
+        v = (mixed - _MIX_MULT_R * v) & _MASK32
+        v ^= v >> 16
+        # generate_state(4, uint64): 8 hashed words cycling over the pool,
+        # paired little-endian into uint64s as SeedSequence pairs them.
+        out = (np.tile(v, 2) ^ out_xor) * out_mult & _MASK32
+        out ^= out >> 16
+        words = out.astype("<u4").view("<u8").astype(np.uint64, copy=False)
+        for row in words:
+            yield Generator(PCG64(_SeedWords(row)))
+    for t in range(stop, hi):
+        yield stream(master, role, t)

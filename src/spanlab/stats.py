@@ -35,27 +35,36 @@ def collision_rate(counts, trials: int) -> float:
     return pairs / (trials * (trials - 1) / 2)
 
 
-# Multinomial resamples per bootstrap.  One at a time: a batched draw holds
-# a resamples x classes array, about 190 MB at 23630 classes.
+# Multinomial resamples per bootstrap.
 RESAMPLES = 1000
+# Resamples are drawn in blocks of rows x classes cells, rows =
+# max(1, BOOTSTRAP_CELLS // classes): 64 KB of int64 per block, plus
+# temporaries of its size.  All resamples at once would hold a resamples x
+# classes array, about 190 MB at 23630 classes; from 8193 classes on a
+# block is one row.
+BOOTSTRAP_CELLS = 8192
 
 
 def bootstrap_collisions(counts, trials: int, rng) -> np.ndarray:
     """Bootstrap distribution of the pairwise-collision rate, ``RESAMPLES`` long.
 
     Collision counts are U-statistics with nonstandard variance, so CIs
-    come from resampling rather than a normal approximation.
+    come from resampling rather than a normal approximation.  A block of
+    rows is one ``multinomial`` call with ``size=rows``, which draws each
+    row as a call without ``size`` would, in the same order: the values
+    are those of drawing one resample at a time.
     """
     counts = np.asarray(list(counts), dtype=np.int64)
     if not counts.size:
         # No class to resample, so no pair collides (as in collision_rate).
         return np.zeros(RESAMPLES)
     probs = counts / trials
+    rows = max(1, BOOTSTRAP_CELLS // counts.size)
     out = np.empty(RESAMPLES)
     denom = trials * (trials - 1) / 2
-    for b in range(RESAMPLES):
-        re = rng.multinomial(trials, probs)
-        out[b] = (re * (re - 1)).sum() / 2 / denom
+    for lo in range(0, RESAMPLES, rows):
+        re = rng.multinomial(trials, probs, size=min(rows, RESAMPLES - lo))
+        out[lo:lo + len(re)] = (re * (re - 1)).sum(axis=1) / 2 / denom
     return out
 
 

@@ -11,8 +11,10 @@ graphs are validated edge by edge against a set of the edges seen (the
 library checks sorted neighbour tuples), graph files are read into a list
 of lines with every endpoint through ``int()`` (the library reads in one
 pass and gives each vertex one int), bootstrap slopes are fitted one
-column at a time (the library fits every column in one call), streams are seeded through ``SeedSequence`` itself
-(the library reproduces its hash in Python ints), subsets and degree
+column at a time (the library fits every column in one call), bootstrap
+resamples are drawn one at a time (the library draws blocks of rows),
+streams are seeded through ``SeedSequence`` itself (the library
+reproduces its hash in Python ints, and a chunk's in numpy), subsets and degree
 histograms are built one element at a time (the library builds them in
 C-level calls), sampler draws come from whole batches converted at once,
 with every neighbour index through ``int(x * d)`` (the library converts
@@ -23,8 +25,10 @@ retraced after every walk with floats read one at a time, selection
 from n-long may-parent lists on both branches, and
 codes from neighbour lists (the library walks once, reads a per-graph
 table of low-degree neighbours, and codes the parent array).  The eager
-tally codes every trial's tree and counts all rows in one pass (the
-library codes a tree only when its degree histogram can collide).
+tally derives each trial's streams with its own ``stream`` calls, codes
+every trial's tree and counts all rows in one pass (the library takes a
+chunk's streams from ``streams`` and codes a tree only when its degree
+histogram can collide).
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from spanlab import (
     histogram_key,
     pipeline_reconfigured_tree,
 )
-from spanlab import experiments
+from spanlab import experiments, stats
 from spanlab import rng as rnglib
 from spanlab.graphs import (
     DisconnectedGraphError,
@@ -223,6 +227,21 @@ def reference_bootstrap_slopes(sizes, boots, floor: float) -> np.ndarray:
     return slopes
 
 
+def reference_bootstrap_collisions(counts, trials: int, rng) -> np.ndarray:
+    """The bootstrap of ``stats.bootstrap_collisions`` drawn one multinomial
+    resample at a time, ``stats.RESAMPLES`` of them."""
+    counts = np.asarray(list(counts), dtype=np.int64)
+    if not counts.size:
+        return np.zeros(stats.RESAMPLES)
+    probs = counts / trials
+    out = np.empty(stats.RESAMPLES)
+    denom = trials * (trials - 1) / 2
+    for b in range(stats.RESAMPLES):
+        re = rng.multinomial(trials, probs)
+        out[b] = (re * (re - 1)).sum() / 2 / denom
+    return out
+
+
 def reference_reconfigure(g: Graph, tree: SpanningTree, selection, rng) -> SpanningTree:
     """Leaf reconfiguration rebuilt from scratch: every unselected tree edge
     is kept, and each selected leaf hangs off a candidate drawn from the same
@@ -320,7 +339,9 @@ def eager_pipeline_collision(
 ) -> experiments.PipelineCollisionReport:
     """``pipeline_collision`` at master seed ``seed`` with every trial's tree
     coded, and the histogram, code and branch counters each filled in one
-    pass over the rows in trial order."""
+    pass over the rows in trial order.  Each trial derives its streams
+    through ``stream``, the per-address path, so the chunk loop's
+    ``streams`` is checked against a path it does not share."""
     rows = []
     for t in range(trials):
         redone, outcome = pipeline_reconfigured_tree(g, seed, t)

@@ -1,6 +1,7 @@
 """What the benchmark's tracer and pool probe need of the package.
 
-``spanbench/spans.py`` looks its traced callables up by name, and
+``spanbench/spans.py`` looks its traced callables up by name, reads
+arguments of some of them by position (its ``_ENTER`` table), and
 ``spanbench/command.py`` wraps ``experiments._run_chunked`` and swaps
 ``experiments.ProcessPoolExecutor`` for a stand-in that runs nothing and
 returns empty results, then replays each recorded call through it.  A
@@ -21,19 +22,32 @@ from pathlib import Path
 
 import pytest
 
+import spanlab as sl
 from spanlab import experiments
 from spanlab.cli import build_parser
+from spanlab.graphs import GraphSpec, generate
 
 SPANBENCH = Path(__file__).resolve().parents[1] / "spanbench"
 SPANS = SPANBENCH / "spans.py"
 WORKLOADS = SPANBENCH / "workloads.py"
 
 
-def _traced() -> tuple[tuple[str, str], ...]:
+def _spans_table(name: str) -> ast.expr:
     for node in ast.parse(SPANS.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]:
-            return ast.literal_eval(node.value)
-    raise AssertionError(f"no TRACED table in {SPANS}")
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]:
+            return node.value
+    raise AssertionError(f"no {name} table in {SPANS}")
+
+
+def _traced() -> tuple[tuple[str, str], ...]:
+    return ast.literal_eval(_spans_table("TRACED"))
+
+
+def _enter_hooks() -> dict[str, str]:
+    """``_ENTER``: span name -> the name of the hook that reads its call's
+    arguments."""
+    table = _spans_table("_ENTER")
+    return {key.value: value.id for key, value in zip(table.keys, table.values)}
 
 
 def test_every_traced_callable_resolves():
@@ -48,6 +62,34 @@ def test_every_traced_callable_resolves():
             assert isinstance(raw, classmethod), (modname, attr)
         else:
             assert callable(getattr(owner, attr)), (modname, attr)
+
+
+def test_trial_hook_reads_master_and_trial():
+    # spans.py's _enter_trial takes args[1] and args[2] of each
+    # pipeline_reconfigured_tree call as the trial id of the spans under it.
+    hooks = _enter_hooks()
+    assert hooks["experiments.pipeline_reconfigured_tree"] == "_enter_trial"
+    traced = {f"{m.removeprefix('spanlab.')}.{a}" for m, a in _traced()}
+    assert set(hooks) <= traced
+    params = list(inspect.signature(experiments.pipeline_reconfigured_tree).parameters)
+    assert params[:3] == ["g", "master", "t"]
+
+
+def test_chunk_loop_calls_the_trial_hook_once_per_trial(monkeypatch):
+    # The chunk loop hands each trial its ready-made streams; it must still
+    # call pipeline_reconfigured_tree through the module, once per trial in
+    # trial order, with (master, t) where the tracer reads them.
+    calls = []
+    real = experiments.pipeline_reconfigured_tree
+
+    def recorded(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "pipeline_reconfigured_tree", recorded)
+    g = generate(GraphSpec.parse("bipartite:3,12"), 0)
+    report = sl.pipeline_collision(g, 24, seed=4, jobs=1)
+    assert calls == [(report.seed, t) for t in range(24)]
 
 
 def test_pool_probe_hooks_exist():

@@ -3,6 +3,9 @@ import pytest
 from scipy import stats as sps
 
 import spanlab.stats as st
+from spanlab.rng import stream
+
+from helpers import reference_bootstrap_collisions
 
 
 def test_chi_square_uniform_pads_missing_cells():
@@ -33,6 +36,42 @@ def test_bootstrap_collisions_centered():
     assert abs(float(boots.mean()) - point) < 0.02
     lo, hi = st.percentile_interval(boots, 0.95)
     assert lo < point < hi
+
+
+def _tally(classes: int, trials: int) -> np.ndarray:
+    """``classes`` positive counts summing to ``trials``, unevenly."""
+    if not classes:
+        return np.zeros(0, dtype=np.int64)
+    extra = np.random.default_rng(classes).multinomial(
+        trials - classes, np.arange(1, classes + 1) / (classes * (classes + 1) / 2)
+    )
+    return extra + 1
+
+
+# Blocks of max(1, BOOTSTRAP_CELLS // classes) rows: a whole resample
+# count in one block, blocks with a partial tail (100 classes: twelve
+# blocks of 81 rows and one of 28), and one row a block from the cell
+# budget on.
+BOOTSTRAP_CASES = [
+    (classes, trials)
+    for classes in (0, 1, 2, 100, st.BOOTSTRAP_CELLS, st.BOOTSTRAP_CELLS + 1, 23630)
+    for trials in (2, 100, 1000, 10**5)
+    if classes <= trials
+]
+
+
+@pytest.mark.parametrize("classes, trials", BOOTSTRAP_CASES)
+def test_bootstrap_blocks_are_the_row_loop(monkeypatch, classes, trials):
+    if classes > st.BOOTSTRAP_CELLS // 2:
+        # A block is one row here whatever the resample count, and 1000
+        # rows of thousands of classes take seconds.
+        monkeypatch.setattr(st, "RESAMPLES", 5)
+    counts = _tally(classes, trials)
+    fast, slow = stream(29, 4, classes), stream(29, 4, classes)
+    got = st.bootstrap_collisions(counts, trials, fast)
+    want = reference_bootstrap_collisions(counts, trials, slow)
+    assert got.tobytes() == want.tobytes()
+    assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_percentile_interval_is_np_percentile_bit_for_bit():
