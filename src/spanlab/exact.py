@@ -1,14 +1,16 @@
 """Exact spanning-tree counting and enumeration.
 
 ``count_spanning_trees`` is the one way into the exact determinant: the
-count is the determinant of the reduced Laplacian, evaluated by
-multi-modular elimination + CRT, Hadamard-bounded (``_determinant``), so
-results are bit-exact at any size.  The primes are sized to the order of
-the matrix, as large as keeps float64 elimination exact, and eliminated
-``_STACK`` = 8 at a time.  Fraction-free (Bareiss) elimination is kept
-as the independent oracle that the tests check against and the benchmark
-traces.  Enumeration is contraction/deletion on an explicit stack with a
-cap guard.
+count is the determinant of the reduced Laplacian of a connected graph, a
+symmetric positive definite matrix, evaluated by multi-modular LDLᵀ
+elimination + CRT, Hadamard-bounded (``_determinant``), so results are
+bit-exact at any size.  The primes are sized to the order of the matrix,
+as large as keeps float64 elimination exact, and eliminated ``_STACK`` = 8
+at a time.  No pivot search is needed: a prime that divides a leading
+minor is skipped.  Fraction-free (Bareiss) elimination is kept as the
+independent oracle that the tests check against and the benchmark traces.
+Enumeration is contraction/deletion on an explicit stack with a cap
+guard.
 """
 
 from __future__ import annotations
@@ -42,10 +44,11 @@ _MAX_ORDER = 2**13
 _STACK = 8
 
 # Columns per block of the elimination.  Crout steps inside a block take
-# their products over the block's columns only; the finished block is then
-# subtracted from the rest of the matrix by one matrix product per prime.
-# Without blocks every step re-reads the whole factored part, and at
-# n = 400 the stack no longer fits in cache (CHANGES.md).
+# their products over the block's rows only; the finished block is then
+# subtracted from the rows below it, one matrix product per panel of
+# ``_BLOCK`` rows and prime.  Without blocks every step re-reads the whole
+# factored part, and at n = 400 the stack no longer fits in cache
+# (CHANGES.md).
 _BLOCK = 32
 
 # Width of the window of integers that ``_primes`` sieves at a time, at one
@@ -156,97 +159,94 @@ def _balance(x, q, qinv, t, out=None) -> None:
     np.subtract(x, t, out=x if out is None else out)
 
 
-def _stacked_determinants(a: np.ndarray, primes: list[int], s: np.ndarray) -> list[int]:
-    """det(a) mod each prime, in [0, p), by one elimination over the stack ``s``.
+def _stacked_determinants(a: np.ndarray, primes: list[int], s: np.ndarray, dead: dict) -> list:
+    """det(a) mod each prime, in [1, p), by one LDLᵀ elimination over the
+    stack ``s``; None for a prime that divides a leading minor of ``a``.
 
-    ``s`` has shape (len(primes), m, m) and is overwritten.  Slice i gets
-    the residues of ``a`` mod primes[i], balanced in float64 in place.  LU
-    factorisation with L unit lower and U upper, both stored in each slice,
-    then runs on all slices at once.  Step k forms the pivot column of L
-    and the pivot row of U (Crout), each by one batched matrix-vector
-    product over the columns of the current block; at a block boundary the
-    finished block is subtracted from the rest, whose entries are then
-    partial sums that balance when their column or row is formed.  A slice whose pivot is
-    0 mod its prime swaps in the first row below with a nonzero entry in
-    the column; a slice with none has determinant 0 mod its prime, and
-    from then on its pivot inverse is taken as 0, which keeps its entries
-    bounded while the other slices go on.
+    ``a`` is symmetric positive definite.  ``s`` has shape (len(primes), m,
+    m) and is overwritten: slice i gets the residues of ``a`` mod
+    primes[i], balanced in float64 in place, and is factored as L·D·Lᵀ,
+    all slices at once.  Step k forms row k of U = D·Lᵀ by one batched
+    vector-matrix product over the rows of the current block (Crout).  By
+    symmetry that row is also column k of L·D, so column k of L is the row
+    times the pivot's inverse.  At a block boundary the finished block is
+    subtracted from the upper half of the rows below it, the only half the
+    steps read; its entries are then partial sums that balance when their
+    row is formed.  A slice whose pivot is 0 mod its prime dies: its
+    modulus is taken as 1, so its pivot inverses are 0, which keeps its
+    entries bounded while the other slices go on.  ``dead`` maps each step
+    to the product of the primes that died there, over every call.
     """
     g, m = s.shape[:2]
     q = np.array(primes, dtype=np.float64)[:, None]
     _balance(np.broadcast_to(a, s.shape), q[:, :, None], 1.0 / q[:, :, None], s, out=s)
-    # Step k holds its pivot column and pivot row side by side in the first
-    # 2(m-k)-1 entries of each row of w.  Whole rows are balanced, so these
-    # calls run on contiguous arrays without broadcasting; the stale tail
-    # stays balanced.
-    w = np.zeros((g, 2 * m))
+    # w holds step k's pivot row in its first m-k columns.  Whole rows are
+    # balanced, contiguous and unbroadcast; the stale tail stays balanced.
+    w = np.zeros((g, m))
     t = np.empty_like(w)
-    wq = np.repeat(q, 2 * m, axis=1)
+    wq = np.repeat(q, m, axis=1)
     wqinv = 1.0 / wq
-    inv = np.empty((g, 1))
+    mods = list(primes)
     dets = [1] * g
     for k in range(m):
         k0 = k - k % _BLOCK
         if k == k0 and k:
             for x in s:
-                x[k:, k:] -= x[k:, k - _BLOCK:k] @ x[k - _BLOCK:k, k:]
-        r = m - k
-        col, row = w[:, :r], w[:, r:2 * r - 1]
-        np.subtract(s[:, k:, k], (s[:, k:, k0:k] @ s[:, k0:k, k, None])[:, :, 0], out=col)
-        np.subtract(s[:, k, k + 1:], (s[:, k, None, k0:k] @ s[:, k0:k, k + 1:])[:, 0], out=row)
+                for c in range(k, m, _BLOCK):
+                    x[c:c + _BLOCK, c:] -= x[c:c + _BLOCK, k - _BLOCK:k] @ x[k - _BLOCK:k, c:]
+        row = w[:, :m - k]
+        np.subtract(s[:, k, k:], (s[:, k, None, k0:k] @ s[:, k0:k, k:])[:, 0], out=row)
         _balance(w, wq, wqinv, t)
+        s[:, k, k + 1:] = row[:, 1:]
         pivots = list(map(int, w[:, 0].tolist()))
         if 0 in pivots:
-            for i in [i for i, (v, d) in enumerate(zip(pivots, dets)) if d and not v]:
-                nonzero = np.flatnonzero(col[i])
-                if not nonzero.size:
-                    continue  # the zero pivot makes det 0 mod this prime
-                j = int(nonzero[0])
-                x = s[i]
-                x[[k, k + j]] = x[[k + j, k]]
-                col[i, [0, j]] = col[i, [j, 0]]
-                np.subtract(x[k, k + 1:], x[k, k0:k] @ x[k0:k, k + 1:], out=row[i])
-                _balance(row[i], wq[i, :r - 1], wqinv[i, :r - 1], t[i, :r - 1])
-                pivots[i] = int(col[i, 0])
-                dets[i] = -dets[i]
-        s[:, k, k + 1:] = row
-        dets = [d * v % p for d, v, p in zip(dets, pivots, primes)]
-        inv[:, 0] = [pow(v, -1, p) if d else 0 for d, v, p in zip(dets, pivots, primes)]
-        w *= inv
+            for i in [i for i, (v, p) in enumerate(zip(pivots, mods)) if not v and p > 1]:
+                dead[k] = dead.get(k, 1) * mods[i]
+                mods[i] = 1
+        dets = [d * v % p for d, v, p in zip(dets, pivots, mods)]
+        w *= np.array([pow(v, -1, p) for v, p in zip(pivots, mods)], float)[:, None]
         _balance(w, wq, wqinv, t)
-        s[:, k + 1:, k] = col[:, 1:]
-    return dets
+        s[:, k + 1:, k] = row[:, 1:]
+    return [d or None for d in dets]
 
 
 def _determinant(a: np.ndarray) -> int:
-    """Exact determinant of ``a``: a square integer array of order below
-    ``_MAX_ORDER`` with every entry at most 2**52 in magnitude.
+    """Exact determinant of ``a``: a symmetric positive definite integer
+    array of order below ``_MAX_ORDER`` with every entry at most 2**52 in
+    magnitude.
 
     Residues modulo the primes of ``_primes(m)``, m the order of ``a``, up
     to ``_STACK`` primes per float64 elimination
     (``_stacked_determinants``), are combined by Chinese remaindering until
     their product M exceeds 2H, where H, the product of the row 2-norms
-    (Hadamard's bound), bounds |det|.  The residue in (-M/2, M/2) is then
-    the determinant itself.  Primes of that size keep every sum of the
-    elimination an integer below 2**52 in magnitude, exact in float64 (the
-    bound is proved above ``_MAX_ORDER``).
+    (Hadamard's bound), bounds |det|; a prime that divides a leading minor
+    is skipped.  The residue in (-M/2, M/2) is then the determinant
+    itself.  Once the primes skipped at one step multiply past H, the
+    leading minor there is 0, which breaks the precondition: a bug in the
+    caller, raised as AssertionError.
     """
     h2 = _hadamard_squared(a)
-    primes, modulus = [], 1
     candidates = _primes(len(a))
-    while modulus * modulus <= 4 * h2:
-        p = next(candidates, None)
-        if p is None:
-            raise MatrixTooLargeError("Hadamard bound exceeds the product of the primes")
-        primes.append(p)
-        modulus *= p
-    stack = np.empty((min(_STACK, len(primes)), *a.shape))
+    stack = np.empty((0, *a.shape))
+    dead = {}
     det, modulus = 0, 1
-    for i in range(0, len(primes), _STACK):
-        group = primes[i:i + _STACK]
-        for p, r in zip(group, _stacked_determinants(a, group, stack[:len(group)])):
-            det += modulus * ((r - det) * pow(modulus, -1, p) % p)
-            modulus *= p
+    while modulus * modulus <= 4 * h2:
+        group, cover = [], modulus
+        while len(group) < _STACK and cover * cover <= 4 * h2:
+            p = next(candidates, None)
+            if p is None:
+                raise MatrixTooLargeError("Hadamard bound exceeds the product of the primes")
+            group.append(p)
+            cover *= p
+        if len(stack) < len(group):
+            stack = np.empty((len(group), *a.shape))
+        residues = _stacked_determinants(a, group, stack[:len(group)], dead)
+        if max(dead.values(), default=0) ** 2 > h2:
+            raise AssertionError("a leading minor is 0: the matrix is not positive definite")
+        for p, r in zip(group, residues):
+            if r is not None:
+                det += modulus * ((r - det) * pow(modulus, -1, p) % p)
+                modulus *= p
     return det - modulus if 2 * det > modulus else det
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spanlab as sl
-from spanlab import CapExceededError
+from spanlab import CapExceededError, exact
 from spanlab.exact import (
     _BLOCK,
     _MAX_ORDER,
@@ -16,6 +17,7 @@ from spanlab.exact import (
     _determinant,
     _hadamard_squared,
     _primes,
+    _stacked_determinants,
     _top,
 )
 
@@ -71,25 +73,41 @@ def det(rows):
     """The exact kernel on ``rows``, inside its precondition."""
     a = np.array(rows, dtype=np.int64)
     assert a.ndim == 2 and a.shape[0] == a.shape[1] < _MAX_ORDER
-    assert np.abs(a).max() <= 2**52
+    assert np.abs(a).max() <= 2**52 and (a == a.T).all()
     return _determinant(a)
+
+
+def dominant(upper, extra):
+    """The symmetric integer matrix with strict upper triangle that of the
+    square ``upper`` and each diagonal entry the sum of the magnitudes of
+    the rest of its row plus ``extra`` (each at least 1).  It is strictly
+    diagonally dominant, so positive definite; with ``upper`` <= 0 it is
+    the reduced Laplacian of a weighted complete graph whose every vertex
+    is joined to the deleted one."""
+    off = np.triu(np.asarray(upper, dtype=np.int64), 1)
+    off += off.T
+    return (off + np.diag(np.abs(off).sum(axis=1) + extra)).tolist()
+
+
+def dominant_random(rng, order, bits, laplacian):
+    """A random ``dominant`` matrix with entries up to 2**bits, or up to
+    its order where that is larger."""
+    most = max(1, 2**bits // order)
+    upper = rng.integers(-most, 0 if laplacian else most, size=(order, order), endpoint=True)
+    extra = rng.integers(1, max(1, 2**bits - (order - 1) * most), size=order, endpoint=True)
+    return dominant(upper, extra)
 
 
 def test_modular_determinant_matches_bareiss_on_random_matrices():
     rng = np.random.default_rng(23)
-    signs = set()
     for _ in range(300):
         k = int(rng.integers(1, 9))
-        m = rng.integers(-9, 10, size=(k, k))
-        if k > 1 and rng.random() < 0.25:
-            m[-1] = 2 * m[0] - m[1 % k]  # singular
-        expect = sl.bareiss_determinant(m.tolist())
-        assert det(m.tolist()) == expect
-        assert det(m) == expect
-        signs.add((expect > 0) - (expect < 0))
-    assert signs == {-1, 0, 1}
-    assert det([[-7]]) == -7
-    assert det([[0]]) == 0
+        rows = dominant_random(rng, k, int(rng.integers(1, 53)), rng.random() < 0.5)
+        expect = sl.bareiss_determinant(rows)
+        assert expect > 0
+        assert det(rows) == expect
+        assert det(np.array(rows)) == expect
+    assert det([[7]]) == 7
 
 
 def primes_needed(rows):
@@ -102,139 +120,157 @@ def primes_needed(rows):
             return count
 
 
-def test_modular_determinant_zero_residues_and_row_swaps():
-    rng = np.random.default_rng(29)
-    m = rng.integers(-9, 10, size=(6, 6))
+def kernel(rows, primes):
+    """``_stacked_determinants`` of ``rows`` over one stack of ``primes``,
+    and the primes that died at each step."""
+    a, dead = np.array(rows, dtype=np.int64), {}
+    return _stacked_determinants(a, primes, np.empty((len(primes), *a.shape)), dead), dead
 
-    def p_divides_det(p):
-        rows = m.copy()
-        rows[2] *= p  # nonsingular with p | det
-        return rows.tolist()
 
-    cases = [  # each built from the first prime used at its order
-        lambda p: [[p, 1], [1, 0]],  # leading entry 0 mod p: row swap at step 0
-        lambda p: [[1, 1, 0], [1, 1 + p, 1], [0, 1, 1]],  # leading 2x2 minor 0 mod p: swap at step 1
-        lambda p: [[p, 0], [0, 3]],  # det 3p: the first column is all 0 mod p
-        lambda p: [[1, 0], [0, p]],  # det p: the last pivot is 0 mod p
-        p_divides_det,
-    ]
-    for build, order in zip(cases, [2, 3, 2, 2, 6]):
-        p = next(_primes(order))
-        rows = build(p)
-        assert len(rows) == order
-        assert det(rows) == sl.bareiss_determinant(rows)
-    assert sl.bareiss_determinant(rows) % p == 0 != sl.bareiss_determinant(rows)  # the last case
+def test_a_prime_dividing_a_leading_minor_is_skipped():
+    p = next(_primes(2))
+    b = 12345
+    # (matrix, the step whose pivot is 0 mod p): the leading entry is p,
+    # and the last pivot is det = p.
+    for rows, step in [([[p, 1], [1, 1]], 0), ([[1, b], [b, b * b + p]], 1)]:
+        assert kernel(rows, [p]) == ([None], {step: p})
+        assert det(rows) == sl.bareiss_determinant(rows) > 0
+
+
+@pytest.mark.parametrize(
+    "rows", [[[1, 1], [1, 1]], [[0, 1], [1, 0]], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]]
+)
+def test_a_zero_leading_minor_fails_at_once(rows, monkeypatch):
+    # Singular, indefinite with a 0 leading entry, and the Laplacian of a
+    # triangle left unreduced: no prime gives a determinant, and the
+    # first stack's primes already multiply past Hadamard's bound.
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return _stacked_determinants(*args)
+
+    monkeypatch.setattr(exact, "_stacked_determinants", counted)
+    with pytest.raises(AssertionError, match="not positive definite"):
+        _determinant(np.array(rows))
+    assert len(calls) == 1
 
 
 @st.composite
-def integer_matrices(draw):
-    """Square integer matrices of order 1-20, some singular, with entries up
-    to 2**52, the kernel's bound."""
+def positive_definite_matrices(draw):
+    """Strictly diagonally dominant symmetric integer matrices of order
+    1-20 with entries up to 2**52, the kernel's bound, half of them weighted
+    reduced Laplacians."""
     n = draw(st.integers(1, 20))
     bits = draw(st.sampled_from([3, 20, 52]))
-    entry = st.integers(-(2**bits), 2**bits)
-    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    if n > 1 and draw(st.booleans()):
-        i, j = draw(st.permutations(range(n)))[:2]
-        most = min(3, 2**bits // (max(map(abs, rows[j])) or 1))  # keeps c * x in bounds
-        c = draw(st.integers(-most, most))
-        rows[i] = [c * x for x in rows[j]]
-    return rows
+    most = max(1, 2**bits // n)
+    entry = st.integers(-most, 0 if draw(st.booleans()) else most)
+    upper = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    pad = st.integers(1, max(1, 2**bits - (n - 1) * most))
+    extra = draw(st.lists(pad, min_size=n, max_size=n))
+    return dominant(upper, extra)
 
 
-# Sylvester's Hadamard matrix of order 4 times 2**52, one entry less by 1:
-# |det| is about Hadamard's bound, 2**212, and takes one prime past a stack.
-WIDE = [[2**52 * x for x in row] for row in ([1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1])]
-WIDE[3][3] -= 1
+# 2**52 on the diagonal, 2**50 beside it, and the last entry less by 1:
+# |det| is about 2**207.7, two thirds of Hadamard's bound, which takes one
+# prime past a stack.
+WIDE = [
+    [2**52, 2**50, 0, 0],
+    [2**50, 2**52, 2**50, 0],
+    [0, 2**50, 2**52, 2**50],
+    [0, 0, 2**50, 2**52 - 1],
+]
 
 
 def test_wide_example_needs_one_prime_past_the_stack():
+    assert max(max(map(abs, row)) for row in WIDE) == 2**52
     assert primes_needed(WIDE) == _STACK + 1
 
 
 @settings(max_examples=150, deadline=None)
-@given(integer_matrices())
+@given(positive_definite_matrices())
 @example(WIDE)
-@example([[2**52, -(2**52)], [2**52, 2**52 - 1]])
-@example([[0] * 9] * 9)
+@example([[2**52, 2**52 - 1], [2**52 - 1, 2**52]])
+@example([[next(_primes(2)), 1], [1, 1]])
 def test_modular_determinant_matches_bareiss_property(rows):
     assert det(rows) == sl.bareiss_determinant(rows)
 
 
+def with_minor_divisible_by(rows, k, modulus):
+    """``rows`` with diagonal entry k raised by less than ``modulus`` so that
+    the leading minor of order k + 1 is divisible by it.  That minor is
+    linear in the entry, with the leading minor of order k as slope, and
+    raising a diagonal entry keeps a dominant matrix dominant."""
+    rows = [list(row) for row in rows]
+    slope = sl.bareiss_determinant([row[:k] for row in rows[:k]])
+    minor = sl.bareiss_determinant([row[:k + 1] for row in rows[:k + 1]])
+    rows[k][k] += -minor * pow(slope, -1, modulus) % modulus
+    return rows
+
+
 def test_zero_pivots_in_some_slices_of_a_stack():
     rng = np.random.default_rng(31)
-    cases = {}  # name -> (matrix, order of the leading minor that is 0 mod both)
-
-    def both(order):
-        _, second, *_, last = islice(_primes(order), _STACK)
-        return second * last
-
-    # At order 6 the two primes multiply to about 2**51.4, so only unit
-    # multiples of their product keep the entries within 2**52.
-    def big():
-        return rng.integers(-(2**40), 2**40, size=(6, 6))
-
-    def unit(size):
-        return rng.choice([-1, 1], size=size)
-
-    m = big()
-    m[0, 0] = both(6)
-    cases["swap at step 0"] = m, 1
-    m = big()
-    m[1, :2] = m[0, :2] + both(6) * unit(2)
-    cases["swap at step 1"] = m, 2
-    m = big()
-    m[:, 0] = both(6) * unit(6)
-    cases["column 0 all zero"] = m, 6
-    m = big()
-    m[:, 3] = m[:, 0] - 2 * m[:, 2] + both(6) * unit(6)
-    cases["column 3 all zero"] = m, 6
-    n = 2 * _BLOCK + 5  # the zero pivot and the dead column fall in the third block
-    k = n - 3
-    coef = rng.integers(-3, 4, size=k)
-    m = rng.integers(-(2**10), 2**10, size=(n, n))
-    m[k, :k + 1] = coef @ m[:k, :k + 1] + both(n) * rng.integers(-9, 10, size=k + 1)
-    cases["swap in a later block"] = m, k + 1
-    m = rng.integers(-(2**10), 2**10, size=(n, n))
-    m[:, k] = m[:, :k] @ coef + both(n) * rng.integers(-9, 10, size=n)
-    cases["column dead in a later block"] = m, n
-    for name, (rows, order) in cases.items():
-        rows = np.asarray(rows).tolist()
-        first, second, *_, last = islice(_primes(len(rows)), _STACK)
-        minor = sl.bareiss_determinant([row[:order] for row in rows[:order]])
-        assert minor % second == minor % last == 0 != minor % first, name
-        assert primes_needed(rows) >= _STACK, name  # every slice of the first stack runs
-        assert det(rows) == sl.bareiss_determinant(rows), name
+    n = 2 * _BLOCK + 5
+    # (order, entry bits, k): at order 6 the second and last prime multiply
+    # to about 2**51.4, which entries of 2**40 leave room for.  In the last
+    # case the zero pivot falls in the third block.
+    for order, bits, k in [(6, 40, 0), (6, 40, 1), (6, 40, 5), (n, 10, n - 3)]:
+        primes = list(islice(_primes(order), _STACK))
+        first, second, *_, last = primes
+        rows = with_minor_divisible_by(
+            dominant_random(rng, order, bits, False), k, second * last
+        )
+        minor = sl.bareiss_determinant([row[:k + 1] for row in rows[:k + 1]])
+        assert minor % second == minor % last == 0 != minor % first, k
+        assert primes_needed(rows) >= _STACK, k  # every slice of the first stack runs
+        expect = sl.bareiss_determinant(rows)
+        dead = {1, _STACK - 1}
+        assert kernel(rows, primes) == (
+            [None if i in dead else expect % p for i, p in enumerate(primes)],
+            {k: second * last},
+        ), k
+        assert det(rows) == expect, k
 
 
-# (order, entry bits, singular): orders above 2 * _BLOCK accumulate the
-# unbalanced sums of several blocks before a column is balanced.
+# (order, entry bits, laplacian): orders above 2 * _BLOCK accumulate the
+# unbalanced sums of several blocks before a row is balanced.
 WIDE_RANDOM = [
     (30, 52, False), (30, 52, True), (41, 52, False), (55, 52, False),
     (66, 40, True), (70, 20, False), (80, 10, False), (80, 3, True),
 ]
 
 
-def wide_random(order, bits, singular):
-    rng = np.random.default_rng([order, bits, singular])
-    m = rng.integers(-(2**bits), 2**bits, size=(order, order), endpoint=True)
-    if singular:
-        m[:2] //= 2
-        m[-1] = m[0] - m[1]  # |entries| stay within 2**bits
-    return m.tolist()
+def wide_random(order, bits, laplacian):
+    return dominant_random(np.random.default_rng([order, bits, laplacian]), order, bits, laplacian)
 
 
-@pytest.mark.parametrize("order,bits,singular", WIDE_RANDOM)
-def test_modular_determinant_matches_bareiss_at_orders_30_to_80(order, bits, singular):
-    rows = wide_random(order, bits, singular)
-    expect = sl.bareiss_determinant(rows)
-    assert (expect == 0) == singular
-    assert det(rows) == expect
+@pytest.mark.parametrize("order,bits,laplacian", WIDE_RANDOM)
+def test_modular_determinant_matches_bareiss_at_orders_30_to_80(order, bits, laplacian):
+    rows = wide_random(order, bits, laplacian)
+    assert max(max(map(abs, row)) for row in rows) <= max(2**bits, order)
+    assert det(rows) == sl.bareiss_determinant(rows)
 
 
 def test_wide_random_prime_counts_are_not_all_whole_stacks():
     counts = [primes_needed(wide_random(*case)) for case in WIDE_RANDOM]
     assert min(counts) > _STACK and any(c % _STACK for c in counts)
+
+
+def test_count_holds_one_stack_of_memory():
+    # count-exact's peak-RSS bound is 5%, about 1.6 MB, and the stack of
+    # _STACK float64 (m, m) slices, 1.42 MB here, is most of what a count
+    # allocates.  The slack covers the int16 Laplacian, the kernel's four
+    # (_STACK, m) row buffers, a panel product and numpy's cast buffers:
+    # about 210 KB.
+    g = sl.complete_graph(150)
+    m = g.n - 1
+    tracemalloc.start()
+    try:
+        sl.count_spanning_trees(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _STACK * m * m * 8 + 2**18
 
 
 def reference_primes(lo, hi):
