@@ -45,10 +45,9 @@ _STACK = 8
 
 # Columns per block of the elimination.  Crout steps inside a block take
 # their products over the block's rows only; the finished block is then
-# subtracted from the rows below it, one matrix product per panel of
-# ``_BLOCK`` rows and prime.  Without blocks every step re-reads the whole
-# factored part, and at n = 400 the stack no longer fits in cache
-# (CHANGES.md).
+# subtracted from the rest of the matrix by one matrix product per prime.
+# Without blocks every step re-reads the whole factored part, and at
+# n = 400 the stack no longer fits in cache (CHANGES.md).
 _BLOCK = 32
 
 # Width of the window of integers that ``_primes`` sieves at a time, at one
@@ -159,9 +158,10 @@ def _balance(x, q, qinv, t, out=None) -> None:
     np.subtract(x, t, out=x if out is None else out)
 
 
-def _stacked_determinants(a: np.ndarray, primes: list[int], s: np.ndarray, dead: dict) -> list:
-    """det(a) mod each prime, in [1, p), by one LDLᵀ elimination over the
-    stack ``s``; None for a prime that divides a leading minor of ``a``.
+def _stacked_determinants(a: np.ndarray, primes: list[int], s: np.ndarray) -> list:
+    """For each prime p, (det(a) mod p in [1, p), None) by one LDLᵀ
+    elimination over the stack ``s``, or (None, k) when p divides the
+    leading minor of ``a`` of order k + 1.
 
     ``a`` is symmetric positive definite.  ``s`` has shape (len(primes), m,
     m) and is overwritten: slice i gets the residues of ``a`` mod
@@ -170,12 +170,10 @@ def _stacked_determinants(a: np.ndarray, primes: list[int], s: np.ndarray, dead:
     vector-matrix product over the rows of the current block (Crout).  By
     symmetry that row is also column k of L·D, so column k of L is the row
     times the pivot's inverse.  At a block boundary the finished block is
-    subtracted from the upper half of the rows below it, the only half the
-    steps read; its entries are then partial sums that balance when their
-    row is formed.  A slice whose pivot is 0 mod its prime dies: its
-    modulus is taken as 1, so its pivot inverses are 0, which keeps its
-    entries bounded while the other slices go on.  ``dead`` maps each step
-    to the product of the primes that died there, over every call.
+    subtracted from the rest, whose entries are then partial sums that
+    balance when their row is formed.  A slice whose pivot is 0 mod its
+    prime dies: its modulus is taken as 1, so its pivot inverses are 0,
+    which keeps its entries bounded while the other slices go on.
     """
     g, m = s.shape[:2]
     q = np.array(primes, dtype=np.float64)[:, None]
@@ -187,27 +185,27 @@ def _stacked_determinants(a: np.ndarray, primes: list[int], s: np.ndarray, dead:
     wq = np.repeat(q, m, axis=1)
     wqinv = 1.0 / wq
     mods = list(primes)
+    died = [None] * g
     dets = [1] * g
     for k in range(m):
         k0 = k - k % _BLOCK
         if k == k0 and k:
             for x in s:
-                for c in range(k, m, _BLOCK):
-                    x[c:c + _BLOCK, c:] -= x[c:c + _BLOCK, k - _BLOCK:k] @ x[k - _BLOCK:k, c:]
+                x[k:, k:] -= x[k:, k - _BLOCK:k] @ x[k - _BLOCK:k, k:]
         row = w[:, :m - k]
         np.subtract(s[:, k, k:], (s[:, k, None, k0:k] @ s[:, k0:k, k:])[:, 0], out=row)
         _balance(w, wq, wqinv, t)
         s[:, k, k + 1:] = row[:, 1:]
         pivots = list(map(int, w[:, 0].tolist()))
         if 0 in pivots:
-            for i in [i for i, (v, p) in enumerate(zip(pivots, mods)) if not v and p > 1]:
-                dead[k] = dead.get(k, 1) * mods[i]
-                mods[i] = 1
+            for i, v in enumerate(pivots):
+                if not v and died[i] is None:
+                    died[i], mods[i] = k, 1
         dets = [d * v % p for d, v, p in zip(dets, pivots, mods)]
         w *= np.array([pow(v, -1, p) for v, p in zip(pivots, mods)], float)[:, None]
         _balance(w, wq, wqinv, t)
         s[:, k + 1:, k] = row[:, 1:]
-    return [d or None for d in dets]
+    return [(d or None, k) for d, k in zip(dets, died)]
 
 
 def _determinant(a: np.ndarray) -> int:
@@ -228,7 +226,7 @@ def _determinant(a: np.ndarray) -> int:
     h2 = _hadamard_squared(a)
     candidates = _primes(len(a))
     stack = np.empty((0, *a.shape))
-    dead = {}
+    skipped = {}  # step -> the product of the primes that died there
     det, modulus = 0, 1
     while modulus * modulus <= 4 * h2:
         group, cover = [], modulus
@@ -240,11 +238,12 @@ def _determinant(a: np.ndarray) -> int:
             cover *= p
         if len(stack) < len(group):
             stack = np.empty((len(group), *a.shape))
-        residues = _stacked_determinants(a, group, stack[:len(group)], dead)
-        if max(dead.values(), default=0) ** 2 > h2:
-            raise AssertionError("a leading minor is 0: the matrix is not positive definite")
-        for p, r in zip(group, residues):
-            if r is not None:
+        for p, (r, k) in zip(group, _stacked_determinants(a, group, stack[:len(group)])):
+            if r is None:
+                skipped[k] = skipped.get(k, 1) * p
+                if skipped[k] ** 2 > h2:
+                    raise AssertionError("a leading minor is 0: not positive definite")
+            else:
                 det += modulus * ((r - det) * pow(modulus, -1, p) % p)
                 modulus *= p
     return det - modulus if 2 * det > modulus else det
